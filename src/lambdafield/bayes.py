@@ -12,7 +12,6 @@ import numpy as np
 
 from .field import SensorModel
 from .geometry import GridGeometry
-from .path import PathCrossing
 from .raycast import trace_beam
 from .sensor import Beam
 
@@ -72,19 +71,15 @@ def bayes_scan(grid: BayesGrid, beams: list[Beam], sensor: SensorModel) -> None:
 
 
 def naive_path_probability(grid: BayesGrid, cells) -> float:
-    """1 - prod(1 - p_occ) over the crossed cells: the textbook path collision
-    probability whose value depends on the tessellation size."""
-    if isinstance(cells, PathCrossing):
-        cells = cells.cells
-    cells = np.asarray(cells, dtype=np.int64)
-    if cells.size == 0:
-        return 0.0
-    p = grid.occupancy()[cells]
-    return float(-np.expm1(np.sum(np.log1p(-p))))
+    """1 - prod(1 - p_occ) over the crossed cells (flat indices): the
+    textbook path collision probability whose value depends on the
+    tessellation size."""
+    return naive_probability_from_occupancy(
+        grid.occupancy()[np.asarray(cells, dtype=np.int64)])
 
 
 def naive_probability_from_occupancy(probabilities) -> float:
-    """Same product rule on raw per-cell occupancy probabilities."""
+    """The product rule on raw per-cell occupancy probabilities."""
     p = np.asarray(probabilities, dtype=np.float64)
     if p.size == 0:
         return 0.0

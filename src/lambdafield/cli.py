@@ -21,11 +21,13 @@ import numpy as np
 import yaml
 
 from . import io as lfio
-from .bayes import BayesGrid, bayes_scan, naive_probability_from_occupancy
-from .field import LambdaGrid, SensorModel, collision_probability
+from .bayes import (BayesGrid, bayes_scan, naive_path_probability,
+                    naive_probability_from_occupancy)
+from .field import LambdaGrid, SensorModel
 from .geometry import GridGeometry
 from .path import (PathCrossing, RobotShape, constant_velocity, expected_risk,
-                   momentum_risk, path_collision_probability, swept_cells)
+                   momentum_risk, path_collision_probability, sweep_footprint,
+                   swept_cells)
 from .planner import PlannerConfig, run_episode
 from .sensor import GroundTruthMap, apply_scan, simulate_scan
 
@@ -142,10 +144,7 @@ class Scenario:
                                      grid.get("resolution", 0.1),
                                      grid["cols"], grid["rows"])
         sensor = {**SENSOR_DEFAULTS, **raw.get("sensor", {})}
-        self.sensor = SensorModel(**{"p_hit": sensor["p_hit"],
-                                     "p_miss": sensor["p_miss"],
-                                     "error_area": sensor["error_area"],
-                                     "max_range": sensor["max_range"]})
+        self.sensor = SensorModel(**{k: sensor[k] for k in SENSOR_DEFAULTS})
         self.lambda_max = raw.get("lambda_max", 100.0)
         robot = {**ROBOT_DEFAULTS, **raw.get("robot", {})}
         self.shape = RobotShape(robot["width"], robot["length"], robot["mass"])
@@ -163,7 +162,7 @@ class Scenario:
         try:
             raw = yaml.safe_load(path.read_text()) or {}
         except OSError as exc:
-            _io_fail(f"cannot read scenario {path}: {exc}")
+            _fail(EXIT_IO, f"cannot read scenario {path}: {exc}")
         except yaml.YAMLError as exc:
             raise click.UsageError(f"scenario is not valid YAML: {exc}")
         if not isinstance(raw, dict):
@@ -197,9 +196,9 @@ class Scenario:
         return BayesGrid(self.geometry, **kwargs)
 
 
-def _io_fail(message: str):
+def _fail(code: int, message: str):
     click.echo(f"error: {message}", err=True)
-    sys.exit(EXIT_IO)
+    sys.exit(code)
 
 
 def _output_dir(explicit: str | None, scenario: Scenario | None = None) -> Path:
@@ -212,23 +211,28 @@ def _output_dir(explicit: str | None, scenario: Scenario | None = None) -> Path:
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        _io_fail(f"cannot create output dir {out}: {exc}")
+        _fail(EXIT_IO, f"cannot create output dir {out}: {exc}")
     return out
+
+
+def _simulate_scans(scenario: Scenario, seed: int) -> list:
+    """(t, pose, beams) for each scripted scan pose, in order."""
+    truth = scenario.ground_truth()
+    rng = np.random.default_rng(seed)
+    return [(float(i), tuple(pose),
+             simulate_scan(truth, tuple(pose), scenario.sensor, scenario.beams,
+                           rng))
+            for i, pose in enumerate(scenario.scan_poses())]
 
 
 def _build_maps(scenario: Scenario, seed: int
                 ) -> tuple[LambdaGrid, BayesGrid, list]:
-    truth = scenario.ground_truth()
+    scans = _simulate_scans(scenario, seed)
     field = LambdaGrid(scenario.geometry, scenario.sensor, scenario.lambda_max)
     bayes = scenario.make_bayes()
-    rng = np.random.default_rng(seed)
-    scans = []
-    for i, pose in enumerate(scenario.scan_poses()):
-        beams = simulate_scan(truth, tuple(pose), scenario.sensor,
-                              scenario.beams, rng)
+    for _, _, beams in scans:
         apply_scan(field, beams, scenario.sensor)
         bayes_scan(bayes, beams, scenario.sensor)
-        scans.append((float(i), tuple(pose), beams))
     return field, bayes, scans
 
 
@@ -256,7 +260,7 @@ def cmd_map(scenario_file, seed, output_dir):
         lfio.export_bayes_pgm(bayes, out / "bayes_grid.pgm")
         lfio.save_scan_log(out / "scans.csv", scans)
     except OSError as exc:
-        _io_fail(str(exc))
+        _fail(EXIT_IO, str(exc))
     click.echo(f"wrote maps for {len(scans)} scans to {out}")
 
 
@@ -269,17 +273,11 @@ def cmd_simulate_scans(scenario_file, seed, output_dir):
     scenario = Scenario.load(scenario_file)
     seed = scenario.seed if seed is None else seed
     out = _output_dir(output_dir, scenario)
-    truth = scenario.ground_truth()
-    rng = np.random.default_rng(seed)
-    scans = []
-    for i, pose in enumerate(scenario.scan_poses()):
-        beams = simulate_scan(truth, tuple(pose), scenario.sensor,
-                              scenario.beams, rng)
-        scans.append((float(i), tuple(pose), beams))
+    scans = _simulate_scans(scenario, seed)
     try:
         lfio.save_scan_log(out / "scans.csv", scans)
     except OSError as exc:
-        _io_fail(str(exc))
+        _fail(EXIT_IO, str(exc))
     click.echo(f"wrote {sum(len(b) for _, _, b in scans)} beams to {out}")
 
 
@@ -304,28 +302,27 @@ def cmd_eval_path(dump_file, path_file, engine, bound, width, mass, speed,
     try:
         poses = lfio.load_path_csv(path_file)
     except (OSError, ValueError) as exc:
-        _io_fail(f"cannot load path: {exc}")
-    shape = RobotShape(width, ROBOT_DEFAULTS["length"], mass)
+        _fail(EXIT_IO, f"cannot load path: {exc}")
+    loader = lfio.load_bayes_grid if engine == "bayes" else lfio.load_lambda_grid
+    try:
+        grid = loader(dump_file)
+    except (OSError, ValueError) as exc:
+        _fail(EXIT_IO, f"cannot load {engine} dump: {exc}")
+    try:
+        shape = RobotShape(width, ROBOT_DEFAULTS["length"], mass)
+        if engine == "bayes":
+            cells, _ = sweep_footprint(grid.geometry, poses, shape.width)
+        else:
+            crossing = swept_cells(grid, poses, shape)
+    except ValueError as exc:
+        _fail(EXIT_CONFIG, str(exc))
     if engine == "bayes":
-        try:
-            grid = lfio.load_bayes_grid(dump_file)
-        except (OSError, ValueError) as exc:
-            _io_fail(f"cannot load bayes dump: {exc}")
-        # the footprint sweep only needs geometry; reuse it via a zero field
-        probe = LambdaGrid(grid.geometry, SensorModel())
-        crossing = swept_cells(probe, poses, shape)
-        from .bayes import naive_path_probability
-        p_coll = naive_path_probability(grid, crossing)
+        p_coll = naive_path_probability(grid, cells)
         click.echo(f"P_coll {p_coll!r}")
         (out / "summary.csv").write_text(
             "engine,p_coll,expected_risk\n"
             f"bayes,{p_coll!r},\n")
         return
-    try:
-        grid = lfio.load_lambda_grid(dump_file)
-    except (OSError, ValueError) as exc:
-        _io_fail(f"cannot load lambda dump: {exc}")
-    crossing = swept_cells(grid, poses, shape)
     p_coll = path_collision_probability(crossing, bound)
     if unit_risk:
         risk_fn = lambda a: 1.0
@@ -338,7 +335,7 @@ def cmd_eval_path(dump_file, path_file, engine, bound, width, mass, speed,
             "engine,p_coll,expected_risk\n"
             f"lambda,{p_coll!r},{risk!r}\n")
     except OSError as exc:
-        _io_fail(str(exc))
+        _fail(EXIT_IO, str(exc))
     click.echo(f"P_coll {p_coll!r}")
     click.echo(f"E_risk {risk!r}")
 
@@ -356,7 +353,7 @@ def cmd_plan(scenario_file, reference_path, seed, output_dir):
     try:
         reference = lfio.load_path_csv(reference_path)
     except (OSError, ValueError) as exc:
-        _io_fail(f"cannot load reference path: {exc}")
+        _fail(EXIT_IO, f"cannot load reference path: {exc}")
     field, _, _ = _build_maps(scenario, seed)
     start = tuple(reference[0])
     log, trace = run_episode(field, start, reference, scenario.shape,
@@ -365,7 +362,7 @@ def cmd_plan(scenario_file, reference_path, seed, output_dir):
         lfio.save_planner_log(out / "planner_log.csv", log)
         lfio.save_path_csv(out / "trace.csv", trace)
     except OSError as exc:
-        _io_fail(str(exc))
+        _fail(EXIT_IO, str(exc))
     stopped = any(step.stopped for step in log)
     click.echo(f"steps {len(log)} stopped {int(stopped)}")
 
@@ -409,7 +406,7 @@ def cmd_compare(base_prob, base_resolution, base_cells, resolutions,
             for res, p_lambda, p_bayes in rows:
                 writer.writerow([repr(res), repr(p_lambda), repr(p_bayes)])
     except OSError as exc:
-        _io_fail(str(exc))
+        _fail(EXIT_IO, str(exc))
     for res, p_lambda, p_bayes in rows:
         click.echo(f"{res!r} {p_lambda!r} {p_bayes!r}")
 

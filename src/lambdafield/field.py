@@ -1,9 +1,9 @@
-"""Poisson-intensity occupancy grid: per-cell MLE, confidence bounds, path sums.
+"""Poisson-intensity occupancy grid: per-cell MLE and confidence bounds.
 
 Intensities have units 1/m^2. Cells with hits but no misses are clamped to a
-configurable ``lambda_max`` so every path integral stays finite. Reads are
-thread-safe; count updates must be serialized by the caller (the estimate
-depends only on the final counts).
+configurable ``lambda_max`` so every path integral stays finite. The
+scalar estimators run the same array kernels as ``LambdaGrid`` on one cell,
+so a scalar and a map value agree bit for bit.
 """
 
 from __future__ import annotations
@@ -86,11 +86,8 @@ def lambda_mle(stats: CellStats, sensor: SensorModel,
     Total by policy: h = 0 gives 0 (including the unobserved case, see
     ``CellStats.observed``); m = 0 with h > 0 saturates at ``lambda_max``.
     """
-    if stats.hits == 0:
-        return 0.0
-    if stats.misses == 0:
-        return lambda_max
-    return min(math.log1p(stats.hits / stats.misses) / sensor.error_area, lambda_max)
+    h, m = np.array([[stats.hits], [stats.misses]], dtype=np.float64)
+    return float(_mle(h, m, sensor.error_area, lambda_max)[0])
 
 
 def lambda_from_count(k: float, total: float, error_area: float,
@@ -103,11 +100,8 @@ def lambda_from_count(k: float, total: float, error_area: float,
         raise ValueError("total count must be > 0")
     if k < 0 or k > total:
         raise ValueError(f"count {k} outside [0, {total}]")
-    if k == 0:
-        return 0.0
-    if k >= total:
-        return lambda_max
-    return min(math.log1p(k / (total - k)) / error_area, lambda_max)
+    k, total = np.array([[k], [total]], dtype=np.float64)
+    return float(_from_counts(k, total, error_area, lambda_max)[0])
 
 
 def confidence_bounds(stats: CellStats, sensor: SensorModel,
@@ -119,19 +113,44 @@ def confidence_bounds(stats: CellStats, sensor: SensorModel,
     mean and variance, clamped to the feasible count range. Unobserved cells
     get the vacuous interval [0, lambda_max].
     """
-    total = stats.total
-    if total == 0:
-        return ConfidenceInterval(0.0, lambda_max)
-    mu = stats.hits * sensor.p_hit + stats.misses * (1.0 - sensor.p_miss)
-    var = (stats.hits * (1.0 - sensor.p_hit) * sensor.p_hit
-           + stats.misses * (1.0 - sensor.p_miss) * sensor.p_miss)
-    sigma = math.sqrt(var)
-    k_low = max(mu - Z_95 * sigma, 0.0)
-    k_high = min(mu + Z_95 * sigma, float(total))
-    return ConfidenceInterval(
-        lambda_from_count(k_low, total, sensor.error_area, lambda_max),
-        lambda_from_count(k_high, total, sensor.error_area, lambda_max),
-    )
+    h, m = np.array([[stats.hits], [stats.misses]], dtype=np.float64)
+    low, high = _bounds(h, m, sensor, lambda_max)
+    return ConfidenceInterval(float(low[0]), float(high[0]))
+
+
+def _mle(h: np.ndarray, m: np.ndarray, error_area: float,
+         lambda_max: float) -> np.ndarray:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = np.log1p(h / m) / error_area
+    lam = np.where(h == 0, 0.0, lam)
+    lam = np.where((m == 0) & (h > 0), lambda_max, lam)
+    return np.minimum(lam, lambda_max)
+
+
+def _bounds(h: np.ndarray, m: np.ndarray, sensor: SensorModel,
+            lambda_max: float) -> tuple[np.ndarray, np.ndarray]:
+    total = h + m
+    mu = h * sensor.p_hit + m * (1.0 - sensor.p_miss)
+    var = (h * (1.0 - sensor.p_hit) * sensor.p_hit
+           + m * (1.0 - sensor.p_miss) * sensor.p_miss)
+    sigma = np.sqrt(var)
+    k_low = np.clip(mu - Z_95 * sigma, 0.0, None)
+    k_high = np.minimum(mu + Z_95 * sigma, total)
+    low = _from_counts(k_low, total, sensor.error_area, lambda_max)
+    high = _from_counts(k_high, total, sensor.error_area, lambda_max)
+    unobserved = total == 0
+    low[unobserved] = 0.0
+    high[unobserved] = lambda_max
+    return low, high
+
+
+def _from_counts(k: np.ndarray, total: np.ndarray, error_area: float,
+                 lambda_max: float) -> np.ndarray:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = np.log1p(k / (total - k)) / error_area
+    lam = np.where(k <= 0, 0.0, lam)
+    lam = np.where((total > 0) & (k >= total), lambda_max, lam)
+    return np.minimum(np.nan_to_num(lam, nan=0.0), lambda_max)
 
 
 def collision_probability(integrated: float) -> float:
@@ -167,76 +186,14 @@ class LambdaGrid:
     def stats(self, index: int) -> CellStats:
         return CellStats(int(self.hits[index]), int(self.misses[index]))
 
-    @property
-    def observed(self) -> np.ndarray:
-        return (self.hits.astype(np.int64) + self.misses.astype(np.int64)) > 0
-
     def lambda_map(self) -> np.ndarray:
         """Per-cell MLE intensities as a flat array."""
-        h = self.hits.astype(np.float64)
-        m = self.misses.astype(np.float64)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lam = np.log1p(h / m) / self.sensor.error_area
-        lam = np.where(h == 0, 0.0, lam)
-        lam = np.where((m == 0) & (h > 0), self.lambda_max, lam)
-        return np.minimum(lam, self.lambda_max)
+        return _mle(self.hits.astype(np.float64), self.misses.astype(np.float64),
+                    self.sensor.error_area, self.lambda_max)
 
     def bound_maps(self) -> tuple[np.ndarray, np.ndarray]:
         """(lambda_low, lambda_high) flat arrays; unobserved cells map to
         [0, lambda_max]."""
-        h = self.hits.astype(np.float64)
-        m = self.misses.astype(np.float64)
-        total = h + m
-        mu = h * self.sensor.p_hit + m * (1.0 - self.sensor.p_miss)
-        var = (h * (1.0 - self.sensor.p_hit) * self.sensor.p_hit
-               + m * (1.0 - self.sensor.p_miss) * self.sensor.p_miss)
-        sigma = np.sqrt(var)
-        k_low = np.clip(mu - Z_95 * sigma, 0.0, None)
-        k_high = np.minimum(mu + Z_95 * sigma, total)
-        low = self._lambda_from_counts(k_low, total)
-        high = self._lambda_from_counts(k_high, total)
-        unobserved = total == 0
-        low[unobserved] = 0.0
-        high[unobserved] = self.lambda_max
-        return low, high
-
-    def _lambda_from_counts(self, k: np.ndarray, total: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lam = np.log1p(k / (total - k)) / self.sensor.error_area
-        lam = np.where(k <= 0, 0.0, lam)
-        lam = np.where((total > 0) & (k >= total), self.lambda_max, lam)
-        return np.minimum(np.nan_to_num(lam, nan=0.0), self.lambda_max)
-
-    def lambda_for_bound(self, use_bound: str) -> np.ndarray:
-        """Flat intensity array for an estimator choice: mle, lower or upper."""
-        if use_bound == "mle":
-            return self.lambda_map()
-        low, high = self.bound_maps()
-        if use_bound == "lower":
-            return low
-        if use_bound == "upper":
-            return high
-        raise ValueError(f"unknown bound {use_bound!r}; expected mle/lower/upper")
-
-    def integrated_lambda(self, cells, areas=None, use_bound: str = "mle") -> float:
-        """Area-weighted intensity sum over a cell set (flat indices).
-
-        ``areas`` defaults to the uniform cell area; pass per-cell crossed
-        areas for partial footprint coverage.
-        """
-        return integrated_lambda_from(self.lambda_for_bound(use_bound),
-                                      self.geometry, cells, areas)
-
-
-def integrated_lambda_from(lam_flat: np.ndarray, geometry: GridGeometry,
-                           cells, areas=None) -> float:
-    cells = np.asarray(cells, dtype=np.int64)
-    if cells.size == 0:
-        return 0.0
-    if (cells < 0).any() or (cells >= geometry.n_cells).any():
-        raise IndexError("cell index out of bounds")
-    if areas is None:
-        areas = np.full(cells.shape, geometry.cell_area)
-    else:
-        areas = np.asarray(areas, dtype=np.float64)
-    return float(np.sum(areas * lam_flat[cells]))
+        return _bounds(self.hits.astype(np.float64),
+                       self.misses.astype(np.float64), self.sensor,
+                       self.lambda_max)

@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 
 from .bayes import BayesGrid
-from .field import LambdaGrid, SensorModel
+from .field import COUNT_MAX, LambdaGrid, SensorModel
 from .geometry import GridGeometry
+from .path import PathCrossing, risk_terms
 from .sensor import Beam, GroundTruthMap
 
 LAMBDA_DUMP_MAGIC = "lambda-field-grid"
@@ -21,73 +22,87 @@ DUMP_VERSION = 1
 def save_lambda_grid(grid: LambdaGrid, path: str | Path) -> None:
     """Versioned textual dump: geometry, sensor model and (h, m) pairs
     in row-major order."""
-    geo = grid.geometry
     s = grid.sensor
-    lines = [
-        f"{LAMBDA_DUMP_MAGIC} {DUMP_VERSION}",
-        f"origin {geo.origin_x!r} {geo.origin_y!r}",
-        f"resolution {geo.resolution!r}",
-        f"size {geo.n_cols} {geo.n_rows}",
-        f"lambda_max {grid.lambda_max!r}",
-        f"sensor {s.p_hit!r} {s.p_miss!r} {s.error_area!r} {s.max_range!r}",
-        "counts",
-    ]
-    lines += [f"{h} {m}" for h, m in zip(grid.hits, grid.misses)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_dump(path, LAMBDA_DUMP_MAGIC, grid.geometry,
+                [("lambda_max", grid.lambda_max),
+                 ("sensor", s.p_hit, s.p_miss, s.error_area, s.max_range)],
+                "counts", [f"{h} {m}" for h, m in zip(grid.hits, grid.misses)])
 
 
 def load_lambda_grid(path: str | Path) -> LambdaGrid:
-    lines = Path(path).read_text().splitlines()
-    magic, version = lines[0].rsplit(" ", 1)
-    if magic != LAMBDA_DUMP_MAGIC or int(version) != DUMP_VERSION:
-        raise ValueError(f"not a lambda grid dump: {path}")
-    header = _parse_header(lines[1:6])
-    geo = GridGeometry(*header["origin"], header["resolution"][0],
-                       *[int(v) for v in header["size"]])
-    ph, pm, e, rmax = header["sensor"]
-    grid = LambdaGrid(geo, SensorModel(ph, pm, e, rmax),
+    geo, header, body = _read_dump(path, LAMBDA_DUMP_MAGIC,
+                                   {"lambda_max": 1, "sensor": 4}, "counts")
+    grid = LambdaGrid(geo, SensorModel(*header["sensor"]),
                       lambda_max=header["lambda_max"][0])
-    counts = np.loadtxt(lines[7:7 + geo.n_cells], dtype=np.int64).reshape(-1, 2)
+    counts = np.loadtxt(body, dtype=np.int64, ndmin=2)
+    if (counts.shape != (geo.n_cells, 2) or counts.min() < 0
+            or counts.max() > COUNT_MAX):
+        raise ValueError(f"{path}: counts must be pairs of integers "
+                         f"in [0, {COUNT_MAX}]")
     grid.hits = counts[:, 0].astype(np.uint32)
     grid.misses = counts[:, 1].astype(np.uint32)
     return grid
 
 
 def save_bayes_grid(grid: BayesGrid, path: str | Path) -> None:
-    geo = grid.geometry
-    lines = [
-        f"{BAYES_DUMP_MAGIC} {DUMP_VERSION}",
-        f"origin {geo.origin_x!r} {geo.origin_y!r}",
-        f"resolution {geo.resolution!r}",
-        f"size {geo.n_cols} {geo.n_rows}",
-        f"clamp {grid.log_odds_clamp!r}",
-        f"updates {grid.l_occ!r} {grid.l_free!r}",
-        "logodds",
-    ]
-    lines += [repr(float(v)) for v in grid.log_odds]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_dump(path, BAYES_DUMP_MAGIC, grid.geometry,
+                [("clamp", grid.log_odds_clamp),
+                 ("updates", grid.l_occ, grid.l_free)],
+                "logodds", [repr(float(v)) for v in grid.log_odds])
 
 
 def load_bayes_grid(path: str | Path) -> BayesGrid:
-    lines = Path(path).read_text().splitlines()
-    magic, version = lines[0].rsplit(" ", 1)
-    if magic != BAYES_DUMP_MAGIC or int(version) != DUMP_VERSION:
-        raise ValueError(f"not a bayes grid dump: {path}")
-    header = _parse_header(lines[1:6])
-    geo = GridGeometry(*header["origin"], header["resolution"][0],
-                       *[int(v) for v in header["size"]])
+    geo, header, body = _read_dump(path, BAYES_DUMP_MAGIC,
+                                   {"clamp": 1, "updates": 2}, "logodds")
     grid = BayesGrid(geo, log_odds_clamp=header["clamp"][0])
     grid.l_occ, grid.l_free = header["updates"]
-    grid.log_odds = np.array([float(v) for v in lines[7:7 + geo.n_cells]])
+    grid.log_odds = np.array([float(v) for v in body])
+    if not np.isfinite(grid.log_odds).all():
+        raise ValueError(f"{path}: log-odds must be finite")
     return grid
 
 
-def _parse_header(lines: list[str]) -> dict[str, list[float]]:
-    out = {}
-    for line in lines:
+def _write_dump(path: str | Path, magic: str, geo: GridGeometry,
+                fields: list[tuple], marker: str, body: list[str]) -> None:
+    """Magic line, geometry, then one ``key value...`` line per field, the
+    body marker and one body line per cell."""
+    lines = [f"{magic} {DUMP_VERSION}",
+             f"origin {geo.origin_x!r} {geo.origin_y!r}",
+             f"resolution {geo.resolution!r}",
+             f"size {geo.n_cols} {geo.n_rows}",
+             *(" ".join([key, *map(repr, vals)]) for key, *vals in fields),
+             marker, *body]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _read_dump(path: str | Path, magic: str, arity: dict[str, int],
+               marker: str) -> tuple[GridGeometry, dict[str, list[float]],
+                                     list[str]]:
+    """Inverse of ``_write_dump``: (geometry, header values by key, body
+    lines). ``arity`` gives the number of values of each key after the
+    geometry. Raises ValueError on a wrong magic or version, a missing or
+    malformed header key, or a body that is not one line per cell."""
+    lines = Path(path).read_text().splitlines()
+    if not lines or lines[0].split() != [magic, str(DUMP_VERSION)]:
+        raise ValueError(f"not a {magic} dump: {path}")
+    end = lines.index(marker)  # ValueError when there is no body marker
+    header = {}
+    for line in lines[1:end]:
         key, *vals = line.split()
-        out[key] = [float(v) for v in vals]
-    return out
+        header[key] = [float(v) for v in vals]
+    arity = {"origin": 2, "resolution": 1, "size": 2, **arity}
+    for key, n in arity.items():
+        if len(header.get(key, ())) != n:
+            raise ValueError(f"{path}: header needs {key!r} with {n} value(s)")
+    cols, rows = header["size"]
+    if not (cols.is_integer() and rows.is_integer()):
+        raise ValueError(f"{path}: grid size must be integers")
+    geo = GridGeometry(*header["origin"], header["resolution"][0],
+                       int(cols), int(rows))
+    body = lines[end + 1:]
+    if len(body) != geo.n_cells:
+        raise ValueError(f"{path}: {len(body)} body rows for {geo.n_cells} cells")
+    return geo, header, body
 
 
 def export_lambda_csv(grid: LambdaGrid, path: str | Path) -> None:
@@ -118,18 +133,15 @@ def export_bayes_csv(grid: BayesGrid, path: str | Path) -> None:
                              repr(float(occ[i]))])
 
 
-def export_lambda_pgm(grid: LambdaGrid, path: str | Path,
-                      scale: float | None = None) -> None:
-    """16-bit PGM of the intensity map; pixel = lambda * scale, clipped.
+def export_lambda_pgm(grid: LambdaGrid, path: str | Path) -> None:
+    """16-bit PGM of the intensity map; pixel = lambda * 65535 / lambda_max.
 
     The scale factor is declared in a comment header so renders are
     self-describing. Row 0 of the grid is the first raster row.
     """
     lam = grid.lambda_map()
-    if scale is None:
-        scale = 65535.0 / grid.lambda_max
     write_pgm(path, lam.reshape(grid.geometry.n_rows, grid.geometry.n_cols),
-              scale, maxval=65535)
+              65535.0 / grid.lambda_max, maxval=65535)
 
 
 def export_bayes_pgm(grid: BayesGrid, path: str | Path) -> None:
@@ -235,31 +247,26 @@ def load_scan_log(path: str | Path
     return [(t, pose, beams) for (t, pose), beams in scans.items()]
 
 
-def save_risk_report(path: str | Path, crossing, risk_fn,
+def save_risk_report(path: str | Path, crossing: PathCrossing, risk_fn,
                      use_bound: str = "mle") -> None:
     """Per-cell CSV of (cell_index, cum_area, lambda, f, cdf, partial_risk)
-    for plotting density/CDF curves along a crossing."""
-    from .path import collision_pdf  # local import: io stays leaf-importable
+    for plotting density/CDF curves along a crossing.
 
-    lam = crossing.lambdas(use_bound)
-    cum = crossing.cumulative_areas()
-    exponents = crossing.areas * lam
-    survive = np.exp(-np.concatenate(([0.0], np.cumsum(exponents[:-1])))) \
-        if len(crossing) else np.empty(0)
+    ``f`` is the first-collision density at the cell's entry and
+    ``partial_risk`` the cell's term of ``expected_risk``.
+    """
+    lam, cum, survive, hit = risk_terms(crossing, use_bound)
+    density = survive * lam
+    cdf = np.cumsum(survive * hit)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["cell_index", "cum_area", "lambda", "f", "cdf",
                          "partial_risk"])
-        cdf = 0.0
         for i in range(len(crossing)):
-            hit_here = -math.expm1(-exponents[i])
-            partial = risk_fn(float(cum[i])) * survive[i] * hit_here
-            cdf += survive[i] * hit_here
+            partial = risk_fn(float(cum[i])) * survive[i] * hit[i]
             writer.writerow([int(crossing.cells[i]), repr(float(cum[i])),
-                             repr(float(lam[i])),
-                             repr(collision_pdf(crossing, float(cum[i]),
-                                                use_bound)),
-                             repr(float(cdf)), repr(float(partial))])
+                             repr(float(lam[i])), repr(float(density[i])),
+                             repr(float(cdf[i])), repr(float(partial))])
 
 
 def save_planner_log(path: str | Path, log) -> None:

@@ -1,7 +1,7 @@
 """Swept-footprint path crossings and collision risk along them.
 
-All operations are pure over immutable snapshots of the intensity field, so
-many candidate trajectories can be evaluated concurrently.
+``risk_terms`` holds the first-collision law along a crossing; the density,
+the expected risk and the risk report all read from it.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .field import LambdaGrid, collision_probability
+from .geometry import GridGeometry
 
 
 @dataclass(frozen=True)
@@ -81,11 +82,30 @@ class PathCrossing:
                    lam, lam.copy(), lam.copy())
 
 
-def swept_cells(grid: LambdaGrid, poses: Sequence[tuple[float, float, float]],
-                shape: RobotShape,
-                samples_per_cell: int = 5) -> PathCrossing:
-    """Rasterize the rectangle of width ``shape.width`` swept along a polyline.
+SAMPLES_PER_CELL = 5
 
+
+def swept_cells(grid: LambdaGrid, poses: Sequence[tuple[float, float, float]],
+                shape: RobotShape) -> PathCrossing:
+    """``sweep_footprint`` of the poses, with the grid's three intensity
+    estimates of each crossed cell.
+
+    Raises ValueError if any part of the swept footprint leaves the grid.
+    """
+    cells, areas = sweep_footprint(grid.geometry, poses, shape.width)
+    if len(cells) == 0:
+        return PathCrossing.from_lambdas([], [])
+    lam = grid.lambda_map()
+    low, high = grid.bound_maps()
+    return PathCrossing(cells, areas, lam[cells], low[cells], high[cells])
+
+
+def sweep_footprint(geometry: GridGeometry,
+                    poses: Sequence[tuple[float, float, float]],
+                    width: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rasterize the rectangle of ``width`` swept along a polyline.
+
+    Returns (flat cell indices in traversal order, crossed area per cell).
     Midpoint supersampling: each step of length ds contributes area
     width * ds split evenly over its sample points, accumulated into the cell
     containing each sample. A cell enters the ordered list at the step that
@@ -94,16 +114,12 @@ def swept_cells(grid: LambdaGrid, poses: Sequence[tuple[float, float, float]],
 
     Raises ValueError if any part of the swept footprint leaves the grid.
     """
-    geo = grid.geometry
     pts = np.asarray([(p[0], p[1]) for p in poses], dtype=np.float64)
-    if len(pts) < 2:
-        return _empty_crossing(grid)
-    res = geo.resolution
-    n_w = max(3, int(math.ceil(shape.width / (res / samples_per_cell))))
-    offsets = ((np.arange(n_w) + 0.5) / n_w - 0.5) * shape.width
+    spacing = geometry.resolution / SAMPLES_PER_CELL
+    n_w = max(3, int(math.ceil(width / spacing)))
+    offsets = ((np.arange(n_w) + 0.5) / n_w - 0.5) * width
 
-    order: dict[int, int] = {}
-    areas: dict[int, float] = {}
+    areas: dict[int, float] = {}  # insertion order is traversal order
     for a, b in zip(pts[:-1], pts[1:]):
         step_vec = b - a
         ds = float(np.hypot(*step_vec))
@@ -111,36 +127,36 @@ def swept_cells(grid: LambdaGrid, poses: Sequence[tuple[float, float, float]],
             continue
         tangent = step_vec / ds
         normal = np.array([-tangent[1], tangent[0]])
-        n_l = max(1, int(math.ceil(ds / (res / samples_per_cell))))
+        n_l = max(1, int(math.ceil(ds / spacing)))
         ts = (np.arange(n_l) + 0.5) / n_l
         centers = a[None, :] + ts[:, None] * step_vec[None, :]
         # (n_l * n_w, 2) sample points across the footprint width
         samples = (centers[:, None, :] + offsets[None, :, None] * normal[None, None, :])
         samples = samples.reshape(-1, 2)
         try:
-            flat = geo.flat_of_points(samples[:, 0], samples[:, 1])
+            flat = geometry.flat_of_points(samples[:, 0], samples[:, 1])
         except ValueError:
             raise ValueError("swept path exits grid") from None
-        sample_area = shape.width * ds / (n_l * n_w)
-        for idx in flat:
-            idx = int(idx)
-            if idx not in order:
-                order[idx] = len(order)
-                areas[idx] = 0.0
-            areas[idx] += sample_area
-    if not order:
-        return _empty_crossing(grid)
-    cells = np.array(sorted(order, key=order.get), dtype=np.int64)
-    area_arr = np.array([areas[int(i)] for i in cells])
-    lam = grid.lambda_map()
-    low, high = grid.bound_maps()
-    return PathCrossing(cells, area_arr, lam[cells], low[cells], high[cells])
+        sample_area = width * ds / (n_l * n_w)
+        for idx in flat.tolist():
+            areas[idx] = areas.get(idx, 0.0) + sample_area
+    return (np.fromiter(areas.keys(), dtype=np.int64, count=len(areas)),
+            np.fromiter(areas.values(), dtype=np.float64, count=len(areas)))
 
 
-def _empty_crossing(grid: LambdaGrid) -> PathCrossing:
-    empty = np.empty(0)
-    return PathCrossing(np.empty(0, dtype=np.int64), empty.copy(), empty.copy(),
-                        empty.copy(), empty.copy())
+def risk_terms(crossing: PathCrossing, use_bound: str = "mle"
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-cell terms of the first-collision law along a crossing.
+
+    Returns (lam, cum, survive, hit): the cell intensities, the cumulative
+    areas A(i) (length N+1, see ``PathCrossing.cumulative_areas``), the
+    chance exp(-sum_{j<i} a_j lam_j) of reaching cell i without a
+    collision, and the chance 1 - exp(-a_i lam_i) of one inside cell i.
+    """
+    lam = crossing.lambdas(use_bound)
+    exponents = crossing.areas * lam
+    survive = np.exp(-np.concatenate(([0.0], np.cumsum(exponents)))[:-1])
+    return lam, crossing.cumulative_areas(), survive, -np.expm1(-exponents)
 
 
 def collision_pdf(crossing: PathCrossing, a: float,
@@ -153,14 +169,11 @@ def collision_pdf(crossing: PathCrossing, a: float,
     """
     if len(crossing) == 0:
         raise ValueError("empty crossing has no density")
-    cum = crossing.cumulative_areas()
+    lam, cum, survive, _ = risk_terms(crossing, use_bound)
     if a < 0 or a > cum[-1]:
         raise ValueError(f"area {a} outside [0, {cum[-1]}]")
-    lam = crossing.lambdas(use_bound)
-    n = min(int(np.searchsorted(cum, a, side="right")) - 1, len(crossing) - 1)
-    n = max(n, 0)
-    survive = math.exp(-float(np.dot(crossing.areas[:n], lam[:n])))
-    return float(survive * lam[n] * math.exp(-(a - cum[n]) * lam[n]))
+    n = int(np.clip(np.searchsorted(cum, a, side="right") - 1, 0, len(crossing) - 1))
+    return float(survive[n] * lam[n] * math.exp(-(a - cum[n]) * lam[n]))
 
 
 def path_collision_probability(crossing: PathCrossing,
@@ -175,18 +188,14 @@ def expected_risk(crossing: PathCrossing, risk_fn: Callable[[float], float],
                   use_bound: str = "mle") -> float:
     """Expectation of risk_fn at the first-collision location.
 
-    Per-cell sum r(A(i)) * exp(-sum_{j<i} a_j lam_j) * (1 - exp(-a_i lam_i)),
-    with r evaluated at each cell's cumulative-area left endpoint.
+    Per-cell sum r(A(i)) * survive_i * hit_i over ``risk_terms``, with r
+    evaluated at each cell's cumulative-area left endpoint.
     """
     if len(crossing) == 0:
         return 0.0
-    lam = crossing.lambdas(use_bound)
-    cum = crossing.cumulative_areas()
-    exponents = crossing.areas * lam
-    survive = np.exp(-np.concatenate(([0.0], np.cumsum(exponents[:-1]))))
-    hit_here = -np.expm1(-exponents)
+    _, cum, survive, hit = risk_terms(crossing, use_bound)
     r_vals = np.array([risk_fn(float(ai)) for ai in cum[:-1]])
-    return float(np.sum(r_vals * survive * hit_here))
+    return float(np.sum(r_vals * survive * hit))
 
 
 def momentum_risk(shape: RobotShape,

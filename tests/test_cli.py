@@ -28,6 +28,16 @@ def runner():
     return CliRunner()
 
 
+@pytest.fixture(scope="module")
+def mapped(tmp_path_factory):
+    """Output directory of one ``map`` run over the test scenario."""
+    tmp = tmp_path_factory.mktemp("mapped")
+    result = CliRunner().invoke(main, ["map", write_scenario(tmp),
+                                       "-o", str(tmp / "out")])
+    assert result.exit_code == 0, result.output
+    return tmp / "out"
+
+
 def write_scenario(tmp_path, max_steps=40):
     f = tmp_path / "scenario.yaml"
     f.write_text(SCENARIO.format(max_steps=max_steps))
@@ -123,6 +133,50 @@ class TestEvalPath:
                                       "-o", str(tmp_path / "eval")])
         assert result.exit_code == 0, result.output
         assert "P_coll" in result.output
+
+
+def _with_first_row(text: str, marker: str, row: str) -> str:
+    """Dump ``text`` with the first body row after ``marker`` set to ``row``."""
+    head, body = text.split(f"\n{marker}\n", 1)
+    return f"{head}\n{marker}\n{row}\n{body.split(chr(10), 1)[1]}"
+
+
+# (case, dump, engine, edit of the dump text, path leaves the grid, exit code)
+BAD_EVAL_INPUTS = [
+    ("missing resolution line", "lambda_grid.dump", "lambda",
+     lambda t: t.replace("resolution 0.1\n", ""), False, 3),
+    ("truncated dump", "lambda_grid.dump", "lambda",
+     lambda t: t[:3000], False, 3),
+    ("negative count", "lambda_grid.dump", "lambda",
+     lambda t: _with_first_row(t, "counts", "-1 5"), False, 3),
+    ("non-finite log-odds", "bayes_grid.dump", "bayes",
+     lambda t: _with_first_row(t, "logodds", "inf"), False, 3),
+    ("path leaves the grid", "lambda_grid.dump", "lambda",
+     lambda t: t, True, 2),
+    ("path leaves the grid", "bayes_grid.dump", "bayes",
+     lambda t: t, True, 2),
+]
+
+
+class TestEvalPathErrors:
+    @pytest.mark.parametrize(
+        "case,dump,engine,edit,leaves,code", BAD_EVAL_INPUTS,
+        ids=[f"{e}: {c}" for c, _, e, _, _, _ in BAD_EVAL_INPUTS])
+    def test_one_line_error_and_exit_code(self, case, dump, engine, edit,
+                                          leaves, code, mapped, runner,
+                                          tmp_path):
+        f = tmp_path / dump
+        f.write_text(edit((mapped / dump).read_text()))
+        xs = np.arange(3.0, 4.51, 0.05) if leaves else np.arange(1.0, 2.01, 0.05)
+        path = write_path(tmp_path, xs, 2.0)
+        result = runner.invoke(main, ["eval-path", str(f), path,
+                                      "--engine", engine,
+                                      "-o", str(tmp_path / "eval")])
+        assert result.exit_code == code, result.output
+        assert result.exception is None or isinstance(result.exception,
+                                                      SystemExit)
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 class TestPlan:

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from lambdafield import (CellStats, GridGeometry, LambdaGrid, SensorModel,
-                         collision_probability, confidence_bounds,
-                         lambda_from_count, lambda_mle)
-from lambdafield.field import DEFAULT_LAMBDA_MAX, integrated_lambda_from
+from lambdafield import (CellStats, GridGeometry, LambdaGrid, PathCrossing,
+                         SensorModel, collision_probability, confidence_bounds,
+                         lambda_from_count, lambda_mle,
+                         path_collision_probability)
+from lambdafield.field import COUNT_MAX, DEFAULT_LAMBDA_MAX
 
 
 class TestLambdaMle:
@@ -97,27 +98,25 @@ class TestConfidenceBounds:
 
 
 class TestIntegratedLambda:
-    def test_uniform_example(self, grid):
-        lam = np.zeros(grid.geometry.n_cells)
-        lam[:59] = 0.1
+    """The area-weighted intensity sum, as ``path_collision_probability``
+    takes it over a ``PathCrossing``."""
+
+    def test_uniform_example(self):
+        lam = np.full(59, 0.1)
         lam[58] = 2.0
-        total = integrated_lambda_from(lam, grid.geometry, np.arange(59),
-                                       np.full(59, 0.04))
-        assert total == pytest.approx(0.312, abs=1e-12)
+        crossing = PathCrossing.from_lambdas(lam, np.full(59, 0.04))
+        assert path_collision_probability(crossing) == pytest.approx(
+            collision_probability(0.312), abs=1e-12)
 
-    def test_empty_cell_list(self, grid):
-        assert grid.integrated_lambda([]) == 0.0
+    def test_empty_cell_list(self):
+        crossing = PathCrossing.from_lambdas([], [])
+        assert path_collision_probability(crossing) == 0.0
 
-    def test_subdivision_preserves_sum(self, grid):
-        lam = np.full(grid.geometry.n_cells, 0.7)
-        whole = integrated_lambda_from(lam, grid.geometry, [3], [0.04])
-        split = integrated_lambda_from(lam, grid.geometry, [3, 4, 5, 6],
-                                       [0.01] * 4)
-        assert whole == pytest.approx(split, abs=1e-15)
-
-    def test_out_of_bounds_cell_rejected(self, grid):
-        with pytest.raises(IndexError):
-            grid.integrated_lambda([grid.geometry.n_cells])
+    def test_subdivision_preserves_sum(self):
+        whole = PathCrossing.from_lambdas([0.7], [0.04])
+        split = PathCrossing.from_lambdas([0.7] * 4, [0.01] * 4)
+        assert path_collision_probability(whole) == pytest.approx(
+            path_collision_probability(split), abs=1e-15)
 
 
 class TestCollisionProbability:
@@ -137,24 +136,30 @@ class TestCollisionProbability:
 
 
 class TestLambdaGrid:
-    def test_lambda_map_matches_scalar(self, grid, sensor, rng):
+    @staticmethod
+    def _random_counts(grid, rng):
+        """Random counts, plus saturated cells (hits only) and cells near
+        the 32-bit count limit; returns the probed indices."""
         n = grid.geometry.n_cells
         grid.hits[:] = rng.integers(0, 5, n)
         grid.misses[:] = rng.integers(0, 50, n)
+        grid.misses[:20] = 0
+        grid.hits[20:40] = COUNT_MAX - rng.integers(0, 3, 20)
+        grid.misses[40:60] = COUNT_MAX - rng.integers(0, 3, 20)
+        return np.concatenate([np.arange(60), rng.integers(60, n, 200)])
+
+    def test_lambda_map_matches_scalar(self, grid, sensor, rng):
+        probes = self._random_counts(grid, rng)
         lam = grid.lambda_map()
-        for i in rng.integers(0, n, 100):
-            assert lam[i] == pytest.approx(
-                lambda_mle(grid.stats(i), sensor), abs=1e-12)
+        for i in probes:
+            assert lam[i] == lambda_mle(grid.stats(i), sensor)
 
     def test_bound_maps_match_scalar(self, grid, sensor, rng):
-        n = grid.geometry.n_cells
-        grid.hits[:] = rng.integers(0, 5, n)
-        grid.misses[:] = rng.integers(0, 50, n)
+        probes = self._random_counts(grid, rng)
         low, high = grid.bound_maps()
-        for i in rng.integers(0, n, 100):
+        for i in probes:
             ci = confidence_bounds(grid.stats(i), sensor)
-            assert low[i] == pytest.approx(ci.lambda_low, abs=1e-12)
-            assert high[i] == pytest.approx(ci.lambda_high, abs=1e-12)
+            assert (low[i], high[i]) == (ci.lambda_low, ci.lambda_high)
 
     def test_lambda_zero_iff_no_hits(self, grid, rng):
         n = grid.geometry.n_cells

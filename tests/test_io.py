@@ -1,10 +1,12 @@
 import csv
+import math
 
 import numpy as np
 import pytest
 
 from lambdafield import (BayesGrid, GridGeometry, LambdaGrid, PathCrossing,
-                         SensorModel)
+                         SensorModel, collision_pdf, expected_risk,
+                         path_collision_probability)
 from lambdafield import io as lfio
 from lambdafield.sensor import Beam
 
@@ -43,6 +45,47 @@ class TestGridDumps:
         lfio.save_lambda_grid(populated_grid, f)
         with pytest.raises(ValueError):
             lfio.load_bayes_grid(f)
+
+
+def _with_first_row(text: str, marker: str, row: str) -> str:
+    """Dump ``text`` with the first body row after ``marker`` set to ``row``."""
+    head, body = text.split(f"\n{marker}\n", 1)
+    return f"{head}\n{marker}\n{row}\n{body.split(chr(10), 1)[1]}"
+
+
+# (fault, loader, edit of the saved dump text)
+MALFORMED_DUMPS = [
+    ("missing header key", "lambda",
+     lambda t: t.replace("resolution 0.2\n", "")),
+    ("missing body row", "lambda", lambda t: t[:t.rindex("\n", 0, -1) + 1]),
+    ("extra body row", "lambda", lambda t: t + "0 0\n"),
+    ("negative count", "lambda",
+     lambda t: _with_first_row(t, "counts", "-1 5")),
+    ("non-integer count", "lambda",
+     lambda t: _with_first_row(t, "counts", "1.5 5")),
+    ("count above 2^32-1", "lambda",
+     lambda t: _with_first_row(t, "counts", "4294967296 5")),
+    ("non-finite log-odds", "bayes",
+     lambda t: _with_first_row(t, "logodds", "nan")),
+    ("missing header key", "bayes",
+     lambda t: t.replace("clamp 7.5\n", "")),
+]
+
+
+class TestMalformedDumps:
+    @pytest.mark.parametrize("fault,kind,edit", MALFORMED_DUMPS,
+                             ids=[f"{k}: {f}" for f, k, _ in MALFORMED_DUMPS])
+    def test_loader_rejects(self, fault, kind, edit, populated_grid, tmp_path):
+        f = tmp_path / "grid.dump"
+        if kind == "lambda":
+            lfio.save_lambda_grid(populated_grid, f)
+        else:
+            bayes = BayesGrid(populated_grid.geometry, log_odds_clamp=7.5)
+            lfio.save_bayes_grid(bayes, f)
+        f.write_text(edit(f.read_text()))
+        load = lfio.load_lambda_grid if kind == "lambda" else lfio.load_bayes_grid
+        with pytest.raises(ValueError):
+            load(f)
 
 
 class TestCsvExports:
@@ -123,3 +166,27 @@ class TestScanAndPathFiles:
         total = sum(float(r["partial_risk"]) for r in rows)
         assert total == pytest.approx(path_collision_probability(crossing),
                                       abs=1e-12)
+
+    def test_risk_report_rows_match_density_and_risk_terms(self, tmp_path, rng):
+        n = 1200
+        crossing = PathCrossing.from_lambdas(rng.random(n) * 2.0,
+                                             rng.random(n) * 0.01 + 0.001)
+        risk_fn = lambda a: 2.0 + a
+        f = tmp_path / "report.csv"
+        lfio.save_risk_report(f, crossing, risk_fn)
+        with open(f, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == n
+        exposure = crossing.areas * crossing.lam_mle
+        for i, row in enumerate(rows):
+            cum = float(row["cum_area"])
+            assert float(row["f"]) == pytest.approx(
+                collision_pdf(crossing, cum), rel=1e-12)
+            term = (risk_fn(cum) * math.exp(-math.fsum(exposure[:i]))
+                    * -math.expm1(-exposure[i]))
+            assert float(row["partial_risk"]) == pytest.approx(term, rel=1e-12)
+        total = math.fsum(float(r["partial_risk"]) for r in rows)
+        assert total == pytest.approx(expected_risk(crossing, risk_fn),
+                                      rel=1e-12)
+        assert float(rows[-1]["cdf"]) == pytest.approx(
+            path_collision_probability(crossing), rel=1e-12)

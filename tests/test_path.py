@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from lambdafield import (PathCrossing, RobotShape, collision_pdf,
                          constant_velocity, expected_risk, momentum_risk,
                          path_collision_probability, swept_cells)
+from lambdafield.path import sweep_footprint
 
 
 def straight_poses(x0, x1, y, step=0.05):
@@ -51,6 +52,16 @@ class TestSweptCells:
         shape = RobotShape(0.1, 0.2, 20.0)
         with pytest.raises(ValueError):
             swept_cells(observed_free_grid, straight_poses(3.5, 4.5, 0.55), shape)
+
+    def test_geometry_sweep_matches_swept_cells(self, observed_free_grid):
+        shape = RobotShape(0.35, 0.2, 20.0)
+        xs = np.arange(0.6, 3.2, 0.04)
+        poses = [(x, 2.0 + 0.6 * math.sin(2.0 * x), 0.0) for x in xs]
+        cells, areas = sweep_footprint(observed_free_grid.geometry, poses,
+                                       shape.width)
+        crossing = swept_cells(observed_free_grid, poses, shape)
+        assert cells.tolist() == crossing.cells.tolist()
+        assert areas.tolist() == crossing.areas.tolist()
 
     def test_cumulative_area_strictly_increasing(self, observed_free_grid):
         shape = RobotShape(0.3, 0.2, 20.0)
