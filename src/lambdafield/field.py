@@ -38,9 +38,9 @@ class SensorModel:
             raise ValueError(f"p_hit must be in (0, 1], got {self.p_hit}")
         if not 0 < self.p_miss <= 1:
             raise ValueError(f"p_miss must be in (0, 1], got {self.p_miss}")
-        if self.error_area <= 0:
+        if not self.error_area > 0:
             raise ValueError("error_area must be > 0")
-        if self.max_range <= 0:
+        if not self.max_range > 0:
             raise ValueError("max_range must be > 0")
 
     @property
@@ -165,7 +165,7 @@ class LambdaGrid:
 
     def __init__(self, geometry: GridGeometry, sensor: SensorModel,
                  lambda_max: float = DEFAULT_LAMBDA_MAX):
-        if lambda_max <= 0:
+        if not lambda_max > 0:
             raise ValueError("lambda_max must be > 0")
         self.geometry = geometry
         self.sensor = sensor

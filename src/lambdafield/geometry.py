@@ -23,7 +23,7 @@ class GridGeometry:
     n_rows: int
 
     def __post_init__(self):
-        if self.resolution <= 0:
+        if not self.resolution > 0:
             raise ValueError(f"resolution must be > 0, got {self.resolution}")
         if self.n_cols < 1 or self.n_rows < 1:
             raise ValueError("grid needs at least one cell per axis")

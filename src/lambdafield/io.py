@@ -183,10 +183,12 @@ def read_pgm(path: str | Path) -> tuple[np.ndarray, float]:
     if tokens[0] != b"P5":
         raise ValueError(f"unsupported PGM magic {tokens[0]!r}")
     width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    if width < 1 or height < 1 or not 1 <= maxval <= 65535:
+        raise ValueError(f"bad PGM size {width}x{height} or maxval {maxval}")
     pos += 1  # single whitespace after maxval
-    dtype = ">u2" if maxval > 255 else "u1"
-    pixels = np.frombuffer(data, dtype=dtype, offset=pos,
-                           count=width * height).reshape(height, width)
+    size = width * height * (2 if maxval > 255 else 1)
+    pixels = np.frombuffer(data[pos:pos + size], ">u2" if maxval > 255 else "u1"
+                           ).reshape(height, width)  # ValueError if truncated
     return pixels.astype(np.float64), scale
 
 
@@ -205,14 +207,26 @@ def load_ground_truth(path: str | Path, geometry: GridGeometry | None = None,
     if geometry is None:
         raise ValueError("CSV ground truth needs an explicit geometry")
     values = np.zeros(geometry.n_cells)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:3] != ["col", "row", "lambda"]:
-            raise ValueError(f"unexpected ground-truth CSV header {header}")
-        for col, row, lam in reader:
-            values[geometry.flat(int(col), int(row))] = float(lam)
+    for col, row, lam in _csv_rows(path, ["col", "row", "lambda"]):
+        col, row = int(col), int(row)
+        if not geometry.contains(*geometry.cell_center(col, row)):
+            raise ValueError(f"{path}: cell ({col}, {row}) outside the grid")
+        values[geometry.flat(col, row)] = float(lam)
     return GroundTruthMap(geometry, values)
+
+
+def _csv_rows(path: str | Path, header: list[str]) -> list[list[str]]:
+    """The rows after a first row that starts with ``header``. Raises
+    ValueError if there is no such first row or the file is not CSV."""
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except csv.Error as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    if not rows or [h.strip() for h in rows[0][:len(header)]] != header:
+        raise ValueError(f"{path}: unexpected CSV header {rows[:1]}, "
+                         f"want {','.join(header)},...")
+    return rows[1:]
 
 
 def save_scan_log(path: str | Path,
@@ -282,15 +296,14 @@ def save_planner_log(path: str | Path, log) -> None:
 
 
 def load_path_csv(path: str | Path) -> np.ndarray:
-    """(N, 3) array of poses from a CSV of x,y,theta rows."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if [h.strip() for h in header[:2]] != ["x", "y"]:
-            raise ValueError(f"unexpected path CSV header {header}")
-        rows = [[float(v) for v in row[:3]] + [0.0] * (3 - len(row[:3]))
-                for row in reader if row]
-    return np.asarray(rows, dtype=np.float64)
+    """(N, 3) array of poses from a CSV of x,y,theta rows. Raises
+    ValueError on a missing header or a value that is not a finite number."""
+    poses = np.asarray([[float(v) for v in row[:3]] + [0.0] * (3 - len(row[:3]))
+                        for row in _csv_rows(path, ["x", "y"]) if row],
+                       dtype=np.float64)
+    if not np.isfinite(poses).all():
+        raise ValueError(f"{path}: pose values must be finite")
+    return poses
 
 
 def save_path_csv(path: str | Path, poses: np.ndarray) -> None:

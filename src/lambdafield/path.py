@@ -18,16 +18,16 @@ from .geometry import GridGeometry
 
 @dataclass(frozen=True)
 class RobotShape:
-    width: float
-    length: float
-    mass: float
+    width: float = 0.4
+    length: float = 0.6
+    mass: float = 20.0
 
     def __post_init__(self):
-        if self.width <= 0:
+        if not self.width > 0:
             raise ValueError("width must be > 0")
-        if self.length < 0:
+        if not self.length >= 0:
             raise ValueError("length must be >= 0")
-        if self.mass <= 0:
+        if not self.mass > 0:
             raise ValueError("mass must be > 0")
 
 
@@ -207,6 +207,6 @@ def momentum_risk(shape: RobotShape,
 
 
 def constant_velocity(v: float) -> Callable[[float], float]:
-    if v < 0:
-        raise ValueError("speed must be >= 0")
+    if not v >= 0:
+        raise ValueError(f"speed must be >= 0, got {v}")
     return lambda s: v

@@ -17,6 +17,8 @@ import numpy as np
 from .field import LambdaGrid
 from .path import RobotShape, constant_velocity, expected_risk, momentum_risk, swept_cells
 
+DEFAULT_MAX_STEPS = 200
+
 
 @dataclass(frozen=True)
 class PlannerConfig:
@@ -30,13 +32,13 @@ class PlannerConfig:
     goal_tolerance: float = 0.5
 
     def __post_init__(self):
-        if self.max_risk <= 0:
+        if not self.max_risk > 0:
             raise ValueError("max_risk must be > 0")
         if self.v_samples < 1 or self.omega_samples < 1:
             raise ValueError("need at least one sample per axis")
-        if self.v_max <= 0 or self.omega_max < 0:
+        if not (self.v_max > 0 and self.omega_max >= 0):
             raise ValueError("invalid velocity limits")
-        if self.horizon <= 0 or self.step <= 0:
+        if not (self.horizon > 0 and self.step > 0):
             raise ValueError("horizon and step must be > 0")
 
 
@@ -154,16 +156,23 @@ class EpisodeStep:
 
 def run_episode(grid: LambdaGrid, start_pose: tuple[float, float, float],
                 reference_path: np.ndarray, shape: RobotShape,
-                config: PlannerConfig, max_steps: int = 200
+                config: PlannerConfig, max_steps: int = DEFAULT_MAX_STEPS
                 ) -> tuple[list[EpisodeStep], np.ndarray]:
     """Closed-loop rollout on a static field snapshot.
 
     Executes each chosen arc to its endpoint until the goal (last reference
     pose) is within goal_tolerance, the planner stops, or max_steps elapse.
-    Returns the per-step log and the executed pose trace.
+    Returns the per-step log and the executed pose trace. Raises
+    ValueError if the reference is empty or the start or the goal lies
+    outside the grid.
     """
     reference = np.asarray(reference_path, dtype=np.float64)
+    if len(reference) == 0:
+        raise ValueError("reference path is empty")
     goal = reference[-1, :2]
+    for name, (x, y) in (("start", start_pose[:2]), ("goal", goal)):
+        if not grid.geometry.contains(x, y):
+            raise ValueError(f"{name} ({x}, {y}) lies outside the grid")
     pose = tuple(float(c) for c in start_pose)
     trace = [pose]
     log: list[EpisodeStep] = []

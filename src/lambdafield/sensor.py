@@ -40,8 +40,8 @@ class GroundTruthMap:
         intensities = np.asarray(intensities, dtype=np.float64).reshape(-1)
         if intensities.size != geometry.n_cells:
             raise ValueError("intensity array does not match grid size")
-        if (intensities < 0).any():
-            raise ValueError("true intensities must be nonnegative")
+        if not (intensities >= 0).all():
+            raise ValueError("true intensities must be nonnegative numbers")
         self.geometry = geometry
         self.intensities = intensities
 

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from click.testing import CliRunner
 
 from lambdafield.cli import main
@@ -141,42 +142,147 @@ def _with_first_row(text: str, marker: str, row: str) -> str:
     return f"{head}\n{marker}\n{row}\n{body.split(chr(10), 1)[1]}"
 
 
-# (case, dump, engine, edit of the dump text, path leaves the grid, exit code)
-BAD_EVAL_INPUTS = [
-    ("missing resolution line", "lambda_grid.dump", "lambda",
-     lambda t: t.replace("resolution 0.1\n", ""), False, 3),
-    ("truncated dump", "lambda_grid.dump", "lambda",
-     lambda t: t[:3000], False, 3),
-    ("negative count", "lambda_grid.dump", "lambda",
-     lambda t: _with_first_row(t, "counts", "-1 5"), False, 3),
-    ("non-finite log-odds", "bayes_grid.dump", "bayes",
-     lambda t: _with_first_row(t, "logodds", "inf"), False, 3),
-    ("path leaves the grid", "lambda_grid.dump", "lambda",
-     lambda t: t, True, 2),
-    ("path leaves the grid", "bayes_grid.dump", "bayes",
-     lambda t: t, True, 2),
+def scenario(**blocks) -> str:
+    """The test scenario with the given top-level blocks replaced."""
+    return yaml.safe_dump({**yaml.safe_load(SCENARIO.format(max_steps=40)),
+                           **blocks})
+
+
+def path_text(xs, y=2.0) -> str:
+    return "x,y,theta\n" + "".join(f"{x:.2f},{y},0.0\n" for x in xs)
+
+
+def dump(name: str, edit=lambda t: t):
+    """The ``name`` dump written by the ``mapped`` fixture, edited."""
+    return lambda mapped: edit((mapped / name).read_text())
+
+
+PATH = path_text(np.arange(1.0, 2.01, 0.05))
+OFF_GRID_PATH = path_text(np.arange(3.0, 4.51, 0.05))
+WITH_TRUTH_CSV = scenario(ground_truth={"file": "truth.csv"})
+OFF_GRID_SCAN = scenario(scan={"poses": [[1.0, 2.0, 0.0], [5.0, 2.0, 0.0]]})
+
+# (case, files written to the working directory as {name: text, or a
+# function of the mapped output directory}, arguments, exit code)
+BAD_INPUTS = [
+    ("map: sensor key typo", {"s.yaml": scenario(sensor={"max_rang": 5.0})},
+     "map s.yaml", 2),
+    ("map: robot key typo", {"s.yaml": scenario(robot={"mas": 20.0})},
+     "map s.yaml", 2),
+    ("map: planner key typo", {"s.yaml": scenario(planner={"v_sample": 3})},
+     "map s.yaml", 2),
+    ("map: bayes p_occ_given_hit 0.3",
+     {"s.yaml": scenario(bayes={"p_occ_given_hit": 0.3})}, "map s.yaml", 2),
+    ("map: planner max_risk NaN",
+     {"s.yaml": scenario(planner={"max_risk": math.nan})}, "map s.yaml", 2),
+    ("map: robot mass NaN", {"s.yaml": scenario(robot={"mass": math.nan})},
+     "map s.yaml", 2),
+    ("map: lambda_max NaN", {"s.yaml": scenario(lambda_max=math.nan)},
+     "map s.yaml", 2),
+    ("map: sensor error_area NaN",
+     {"s.yaml": scenario(sensor={"error_area": math.nan})}, "map s.yaml", 2),
+    ("map: scenario is not YAML", {"s.yaml": "grid: [cols: 4\n"},
+     "map s.yaml", 2),
+    ("map: missing scenario file", {}, "map s.yaml", 3),
+    ("map: missing ground_truth.file",
+     {"s.yaml": WITH_TRUTH_CSV}, "map s.yaml", 3),
+    ("map: missing scan.poses_file",
+     {"s.yaml": scenario(scan={"poses_file": "poses.csv"})}, "map s.yaml", 3),
+    ("map: empty ground-truth CSV",
+     {"s.yaml": WITH_TRUTH_CSV, "truth.csv": ""}, "map s.yaml", 3),
+    ("map: ground-truth CSV with a non-number",
+     {"s.yaml": WITH_TRUTH_CSV, "truth.csv": "col,row,lambda\n3,x,1.0\n"},
+     "map s.yaml", 3),
+    ("map: ground-truth CSV with NaN",
+     {"s.yaml": WITH_TRUTH_CSV, "truth.csv": "col,row,lambda\n3,4,nan\n"},
+     "map s.yaml", 3),
+    ("map: ground-truth cell outside the grid",
+     {"s.yaml": WITH_TRUTH_CSV, "truth.csv": "col,row,lambda\n40,3,1.0\n"},
+     "map s.yaml", 3),
+    ("map: ground-truth PGM with P2 magic",
+     {"s.yaml": scenario(ground_truth={"file": "truth.pgm"}),
+      "truth.pgm": "P2\n2 2\n255\n0 0 0 0\n"}, "map s.yaml", 3),
+    ("map: scan pose outside the grid", {"s.yaml": OFF_GRID_SCAN},
+     "map s.yaml", 2),
+    ("simulate-scans: scan pose outside the grid", {"s.yaml": OFF_GRID_SCAN},
+     "simulate-scans s.yaml", 2),
+    ("plan: empty reference", {"s.yaml": scenario(), "ref.csv": path_text([])},
+     "plan s.yaml ref.csv", 2),
+    ("plan: reference starts outside the grid",
+     {"s.yaml": scenario(), "ref.csv": path_text([5.0, 2.0])},
+     "plan s.yaml ref.csv", 2),
+    ("plan: reference goal outside the grid",
+     {"s.yaml": scenario(), "ref.csv": path_text([1.0, 5.0])},
+     "plan s.yaml ref.csv", 2),
+    ("eval-path: --speed -1", {"p.csv": PATH},
+     "eval-path {mapped}/lambda_grid.dump p.csv --speed -1", 2),
+    ("eval-path: --speed is not a number", {"p.csv": PATH},
+     "eval-path {mapped}/lambda_grid.dump p.csv --speed fast", 2),
+    ("eval-path: --speed nan", {"p.csv": PATH},
+     "eval-path {mapped}/lambda_grid.dump p.csv --speed nan", 2),
+    ("eval-path: NaN in the path", {"p.csv": path_text([1.0, float("nan")])},
+     "eval-path {mapped}/lambda_grid.dump p.csv", 3),
+    ("eval-path: empty path file", {"p.csv": ""},
+     "eval-path {mapped}/lambda_grid.dump p.csv", 3),
+    ("eval-path: missing dump", {"p.csv": PATH},
+     "eval-path lambda_grid.dump p.csv", 3),
+    ("eval-path lambda: missing resolution line",
+     {"d": dump("lambda_grid.dump", lambda t: t.replace("resolution 0.1\n", "")),
+      "p.csv": PATH}, "eval-path d p.csv", 3),
+    ("eval-path lambda: truncated dump",
+     {"d": dump("lambda_grid.dump", lambda t: t[:3000]), "p.csv": PATH},
+     "eval-path d p.csv", 3),
+    ("eval-path lambda: negative count",
+     {"d": dump("lambda_grid.dump",
+                lambda t: _with_first_row(t, "counts", "-1 5")),
+      "p.csv": PATH}, "eval-path d p.csv", 3),
+    ("eval-path bayes: non-finite log-odds",
+     {"d": dump("bayes_grid.dump",
+                lambda t: _with_first_row(t, "logodds", "inf")),
+      "p.csv": PATH}, "eval-path d p.csv --engine bayes", 3),
+    ("eval-path lambda: path leaves the grid", {"p.csv": OFF_GRID_PATH},
+     "eval-path {mapped}/lambda_grid.dump p.csv", 2),
+    ("eval-path bayes: path leaves the grid", {"p.csv": OFF_GRID_PATH},
+     "eval-path {mapped}/bayes_grid.dump p.csv --engine bayes", 2),
+    ("compare: --resolutions 0", {}, "compare --resolutions 0", 2),
+    ("compare: --resolutions -0.1", {}, "compare --resolutions -0.1", 2),
+    ("compare: --resolutions empty", {}, "compare --resolutions ,", 2),
+    ("compare: cell area underflows", {}, "compare --resolutions 1e-200", 2),
+    ("compare: --base-resolution 0", {},
+     "compare --resolutions 0.1 --base-resolution 0", 2),
+    ("compare: --base-cells 0", {}, "compare --resolutions 0.1 --base-cells 0",
+     2),
 ]
 
 
-class TestEvalPathErrors:
-    @pytest.mark.parametrize(
-        "case,dump,engine,edit,leaves,code", BAD_EVAL_INPUTS,
-        ids=[f"{e}: {c}" for c, _, e, _, _, _ in BAD_EVAL_INPUTS])
-    def test_one_line_error_and_exit_code(self, case, dump, engine, edit,
-                                          leaves, code, mapped, runner,
-                                          tmp_path):
-        f = tmp_path / dump
-        f.write_text(edit((mapped / dump).read_text()))
-        xs = np.arange(3.0, 4.51, 0.05) if leaves else np.arange(1.0, 2.01, 0.05)
-        path = write_path(tmp_path, xs, 2.0)
-        result = runner.invoke(main, ["eval-path", str(f), path,
-                                      "--engine", engine,
-                                      "-o", str(tmp_path / "eval")])
+class TestBadInputs:
+    @pytest.mark.parametrize("case,files,args,code", BAD_INPUTS,
+                             ids=[row[0] for row in BAD_INPUTS])
+    def test_rejected(self, case, files, args, code, mapped, runner, tmp_path,
+                      monkeypatch):
+        """The command exits with ``code`` and one ``error:`` line, not a
+        traceback."""
+        monkeypatch.chdir(tmp_path)
+        for name, text in files.items():
+            Path(name).write_text(text if isinstance(text, str)
+                                  else text(mapped))
+        result = runner.invoke(main, args.format(mapped=mapped).split()
+                               + ["-o", "out"])
         assert result.exit_code == code, result.output
         assert result.exception is None or isinstance(result.exception,
                                                       SystemExit)
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+def test_readme_scenario_maps(runner, tmp_path):
+    """The scenario in README.md stays valid."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    f = tmp_path / "scenario.yaml"
+    f.write_text(readme.split("```yaml\n", 1)[1].split("```", 1)[0])
+    result = runner.invoke(main, ["map", str(f), "-o", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "out" / "lambda_grid.dump").exists()
 
 
 class TestPlan:

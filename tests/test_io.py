@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lambdafield import (BayesGrid, GridGeometry, LambdaGrid, PathCrossing,
                          SensorModel, collision_pdf, expected_risk,
@@ -57,6 +59,8 @@ def _with_first_row(text: str, marker: str, row: str) -> str:
 MALFORMED_DUMPS = [
     ("missing header key", "lambda",
      lambda t: t.replace("resolution 0.2\n", "")),
+    ("non-finite resolution", "lambda",
+     lambda t: t.replace("resolution 0.2\n", "resolution nan\n")),
     ("missing body row", "lambda", lambda t: t[:t.rindex("\n", 0, -1) + 1]),
     ("extra body row", "lambda", lambda t: t + "0 0\n"),
     ("negative count", "lambda",
@@ -86,6 +90,70 @@ class TestMalformedDumps:
         load = lfio.load_lambda_grid if kind == "lambda" else lfio.load_bayes_grid
         with pytest.raises(ValueError):
             load(f)
+
+
+def _valid_files(directory) -> dict[str, bytes]:
+    """Bytes of one small, valid input file for each loader."""
+    geo = GridGeometry(-1.0, 0.5, 0.2, 3, 2)
+    grid = LambdaGrid(geo, SensorModel(0.98, 0.999, 0.05, 8.0), lambda_max=80.0)
+    grid.hits[:] = [0, 3, 1, 0, 7, 2]
+    grid.misses[:] = [5, 0, 12, 1, 0, 40]
+    bayes = BayesGrid(geo)
+    bayes.log_odds[:] = [0.0, -1.25, 3.5, 10.0, -10.0, 0.5]
+    lfio.save_lambda_grid(grid, directory / "lambda")
+    lfio.save_bayes_grid(bayes, directory / "bayes")
+    lfio.save_path_csv(directory / "path", [[1.0, 2.0, 0.5], [1.5, 2.25, 0.0]])
+    lfio.write_pgm(directory / "pgm", np.arange(6.0).reshape(2, 3), 1000.0,
+                   maxval=65535)
+    return {name: (directory / name).read_bytes()
+            for name in ("lambda", "bayes", "path", "pgm")}
+
+
+LOADERS = {"lambda": lfio.load_lambda_grid, "bayes": lfio.load_bayes_grid,
+           "path": lfio.load_path_csv, "pgm": lfio.read_pgm}
+TOKENS = [b"", b"\n", b" ", b"#", b",", b"-1", b"0", b"nan", b"inf",
+          b"1e999", b"99999999999999999999", b"\x00", b"\xff"]
+
+
+@st.composite
+def corrupted(draw, data: bytes) -> bytes:
+    """``data`` with a few spans replaced by random bytes or by tokens that
+    parsers trip on, then possibly truncated."""
+    data = bytearray(data)
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(data)))
+        span = draw(st.integers(0, 3))
+        data[pos:pos + span] = draw(st.sampled_from(TOKENS)
+                                    | st.binary(min_size=1, max_size=3))
+    return bytes(data[:draw(st.integers(0, len(data)))]
+                 if draw(st.booleans()) else data)
+
+
+class TestLoaderFuzz:
+    """A truncated or corrupted file makes each loader return or raise
+    ValueError, never another exception."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("fuzz")
+        return directory, _valid_files(directory)
+
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    def test_only_value_error(self, kind, files):
+        directory, valid = files
+        f = directory / f"fuzzed-{kind}"
+        LOADERS[kind](directory / kind)  # the unedited file loads
+
+        @settings(max_examples=300, deadline=None)
+        @given(corrupted(valid[kind]))
+        def check(data):
+            f.write_bytes(data)
+            try:
+                LOADERS[kind](f)
+            except ValueError:
+                pass
+
+        check()
 
 
 class TestCsvExports:
