@@ -29,6 +29,8 @@ class BayesGrid:
             raise ValueError("p_occ_given_hit must be in (0.5, 1)")
         if not 0.5 < p_free_given_miss < 1:
             raise ValueError("p_free_given_miss must be in (0.5, 1)")
+        if not log_odds_clamp > 0:
+            raise ValueError(f"log_odds_clamp must be > 0, got {log_odds_clamp}")
         self.geometry = geometry
         self.log_odds_clamp = log_odds_clamp
         self.l_occ = math.log(p_occ_given_hit / (1.0 - p_occ_given_hit))

@@ -26,13 +26,12 @@ import numpy as np
 import yaml
 
 from . import io as lfio
-from .bayes import (BayesGrid, bayes_scan, naive_path_probability,
-                    naive_probability_from_occupancy)
-from .field import DEFAULT_LAMBDA_MAX, LambdaGrid, SensorModel
+from .bayes import BayesGrid, bayes_scan, naive_path_probability
+from .field import (DEFAULT_LAMBDA_MAX, LambdaGrid, SensorModel,
+                    collision_probability)
 from .geometry import GridGeometry
-from .path import (PathCrossing, RobotShape, constant_velocity, expected_risk,
-                   momentum_risk, path_collision_probability, sweep_footprint,
-                   swept_cells)
+from .path import (RobotShape, constant_velocity, expected_risk, momentum_risk,
+                   path_collision_probability, sweep_footprint, swept_cells)
 from .planner import DEFAULT_MAX_STEPS, PlannerConfig, run_episode
 from .sensor import GroundTruthMap, apply_scan, simulate_scan
 
@@ -340,26 +339,23 @@ def cmd_compare(base_prob, base_resolution, base_cells, resolutions,
                          "with a finite cell area > 0")
     if base_cells < 1:
         raise ValueError("--base-cells must be >= 1")
-    out = _output_dir(output_dir)
     base_area = base_resolution ** 2
     region_area = base_cells * base_area
+    if not all(region_area / (r * r) < math.inf for r in res_list):
+        raise ValueError("--resolutions: the region holds too many cells")
+    out = _output_dir(output_dir)
     intensity = -math.log1p(-base_prob) / base_area
-    rows = []
-    for res in res_list:
-        area = res * res
-        n_cells = max(1, round(region_area / area))
-        crossing = PathCrossing.from_lambdas([intensity] * n_cells,
-                                             [area] * n_cells)
-        p_lambda = path_collision_probability(crossing)
-        p_bayes = naive_probability_from_occupancy([base_prob] * n_cells)
-        rows.append((res, p_lambda, p_bayes))
     with open(out / "compare.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["resolution", "p_lambda", "p_bayes_naive"])
-        for res, p_lambda, p_bayes in rows:
+        for res in res_list:
+            # closed forms over n_cells equal cells: no per-cell arrays
+            area = res * res
+            n_cells = max(1, round(region_area / area))
+            p_lambda = collision_probability(n_cells * area * intensity)
+            p_bayes = -math.expm1(n_cells * math.log1p(-base_prob))
             writer.writerow([repr(res), repr(p_lambda), repr(p_bayes)])
-    for res, p_lambda, p_bayes in rows:
-        click.echo(f"{res!r} {p_lambda!r} {p_bayes!r}")
+            click.echo(f"{res!r} {p_lambda!r} {p_bayes!r}")
 
 
 if __name__ == "__main__":

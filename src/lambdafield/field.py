@@ -186,14 +186,15 @@ class LambdaGrid:
     def stats(self, index: int) -> CellStats:
         return CellStats(int(self.hits[index]), int(self.misses[index]))
 
-    def lambda_map(self) -> np.ndarray:
-        """Per-cell MLE intensities as a flat array."""
-        return _mle(self.hits.astype(np.float64), self.misses.astype(np.float64),
+    def lambda_map(self, cells=slice(None)) -> np.ndarray:
+        """MLE intensities of the flat ``cells`` (default all); reads only those."""
+        return _mle(self.hits[cells].astype(np.float64),
+                    self.misses[cells].astype(np.float64),
                     self.sensor.error_area, self.lambda_max)
 
-    def bound_maps(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lambda_low, lambda_high) flat arrays; unobserved cells map to
-        [0, lambda_max]."""
-        return _bounds(self.hits.astype(np.float64),
-                       self.misses.astype(np.float64), self.sensor,
+    def bound_maps(self, cells=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """(lambda_low, lambda_high) of the flat ``cells`` (default all);
+        unobserved cells map to [0, lambda_max]."""
+        return _bounds(self.hits[cells].astype(np.float64),
+                       self.misses[cells].astype(np.float64), self.sensor,
                        self.lambda_max)

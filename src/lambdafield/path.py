@@ -88,16 +88,11 @@ SAMPLES_PER_CELL = 5
 def swept_cells(grid: LambdaGrid, poses: Sequence[tuple[float, float, float]],
                 shape: RobotShape) -> PathCrossing:
     """``sweep_footprint`` of the poses, with the grid's three intensity
-    estimates of each crossed cell.
-
-    Raises ValueError if any part of the swept footprint leaves the grid.
-    """
+    estimates read at the crossed cells alone (the cost follows the path, not
+    the grid). Raises ValueError if the swept footprint leaves the grid."""
     cells, areas = sweep_footprint(grid.geometry, poses, shape.width)
-    if len(cells) == 0:
-        return PathCrossing.from_lambdas([], [])
-    lam = grid.lambda_map()
-    low, high = grid.bound_maps()
-    return PathCrossing(cells, areas, lam[cells], low[cells], high[cells])
+    low, high = grid.bound_maps(cells)
+    return PathCrossing(cells, areas, grid.lambda_map(cells), low, high)
 
 
 def sweep_footprint(geometry: GridGeometry,
@@ -110,38 +105,41 @@ def sweep_footprint(geometry: GridGeometry,
     width * ds split evenly over its sample points, accumulated into the cell
     containing each sample. A cell enters the ordered list at the step that
     first covers it; re-entered cells keep their first slot. Consecutive
-    poses must be closer than one cell diagonal (caller densifies).
+    poses must be closer than one cell diagonal (caller densifies). The
+    samples of all steps are built in one array pass, and ``np.bincount``
+    adds each cell's sample areas in traversal order.
 
     Raises ValueError if any part of the swept footprint leaves the grid.
     """
-    pts = np.asarray([(p[0], p[1]) for p in poses], dtype=np.float64)
+    pts = np.asarray(poses, dtype=np.float64)[..., :2].reshape(-1, 2)
     spacing = geometry.resolution / SAMPLES_PER_CELL
     n_w = max(3, int(math.ceil(width / spacing)))
     offsets = ((np.arange(n_w) + 0.5) / n_w - 0.5) * width
 
-    areas: dict[int, float] = {}  # insertion order is traversal order
-    for a, b in zip(pts[:-1], pts[1:]):
-        step_vec = b - a
-        ds = float(np.hypot(*step_vec))
-        if ds == 0.0:
-            continue
-        tangent = step_vec / ds
-        normal = np.array([-tangent[1], tangent[0]])
-        n_l = max(1, int(math.ceil(ds / spacing)))
-        ts = (np.arange(n_l) + 0.5) / n_l
-        centers = a[None, :] + ts[:, None] * step_vec[None, :]
-        # (n_l * n_w, 2) sample points across the footprint width
-        samples = (centers[:, None, :] + offsets[None, :, None] * normal[None, None, :])
-        samples = samples.reshape(-1, 2)
-        try:
-            flat = geometry.flat_of_points(samples[:, 0], samples[:, 1])
-        except ValueError:
-            raise ValueError("swept path exits grid") from None
-        sample_area = width * ds / (n_l * n_w)
-        for idx in flat.tolist():
-            areas[idx] = areas.get(idx, 0.0) + sample_area
-    return (np.fromiter(areas.keys(), dtype=np.int64, count=len(areas)),
-            np.fromiter(areas.values(), dtype=np.float64, count=len(areas)))
+    step_vec = np.diff(pts, axis=0)
+    ds = np.hypot(step_vec[:, 0], step_vec[:, 1])
+    moves = ds != 0.0
+    starts, step_vec, ds = pts[:-1][moves], step_vec[moves], ds[moves]
+    normal = np.column_stack([-step_vec[:, 1], step_vec[:, 0]]) / ds[:, None]
+    n_l = np.maximum(1, np.ceil(ds / spacing).astype(np.int64))
+    # one row per sample center: its step, and its position ts along it
+    step = np.repeat(np.arange(len(ds)), n_l)
+    along = np.arange(len(step)) - np.repeat(np.cumsum(n_l) - n_l, n_l)
+    ts = (along + 0.5) / n_l[step]
+    centers = starts[step] + ts[:, None] * step_vec[step]
+    # (centers * n_w, 2) sample points across the footprint width
+    samples = centers[:, None, :] + offsets[None, :, None] * normal[step][:, None, :]
+    samples = samples.reshape(-1, 2)
+    try:
+        flat = geometry.flat_of_points(samples[:, 0], samples[:, 1])
+    except ValueError:
+        raise ValueError("swept path exits grid") from None
+    sample_area = width * ds / (n_l * n_w)
+    cells, first, inverse = np.unique(flat, return_index=True,
+                                      return_inverse=True)
+    order = np.argsort(first)
+    areas = np.bincount(inverse, np.repeat(sample_area[step], n_w))
+    return cells[order], areas[order].astype(np.float64)  # int64 if empty
 
 
 def risk_terms(crossing: PathCrossing, use_bound: str = "mle"
@@ -180,8 +178,7 @@ def path_collision_probability(crossing: PathCrossing,
                                use_bound: str = "mle") -> float:
     """1 - exp(-Lambda) with Lambda the area-weighted intensity sum."""
     lam = crossing.lambdas(use_bound)
-    integrated = float(np.dot(crossing.areas, lam)) if len(crossing) else 0.0
-    return collision_probability(integrated)
+    return collision_probability(float(np.dot(crossing.areas, lam)))
 
 
 def expected_risk(crossing: PathCrossing, risk_fn: Callable[[float], float],
@@ -191,8 +188,6 @@ def expected_risk(crossing: PathCrossing, risk_fn: Callable[[float], float],
     Per-cell sum r(A(i)) * survive_i * hit_i over ``risk_terms``, with r
     evaluated at each cell's cumulative-area left endpoint.
     """
-    if len(crossing) == 0:
-        return 0.0
     _, cum, survive, hit = risk_terms(crossing, use_bound)
     r_vals = np.array([risk_fn(float(ai)) for ai in cum[:-1]])
     return float(np.sum(r_vals * survive * hit))

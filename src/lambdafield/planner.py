@@ -1,10 +1,11 @@
 """Trajectory-sampling local planner gated by upper-bound collision risk.
 
 Candidates are constant (v, omega) arcs over a short horizon. Each is scored
-with the 95% upper confidence bound of the field intensities; arcs whose
-expected momentum loss exceeds the configured maximum are discarded, and the
-surviving arc closest to a user-supplied global reference path wins. When
-nothing survives the robot stops: that is its only admissible decision.
+with the 95% upper confidence bound of the intensities of the cells it
+crosses, so a cycle costs the cells its arcs cross, not the grid size; arcs
+whose expected momentum loss exceeds the configured maximum are discarded,
+and the surviving arc closest to a user-supplied global reference path wins.
+When nothing survives the robot stops: that is its only admissible decision.
 """
 
 from __future__ import annotations

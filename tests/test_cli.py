@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -173,6 +174,8 @@ BAD_INPUTS = [
      "map s.yaml", 2),
     ("map: bayes p_occ_given_hit 0.3",
      {"s.yaml": scenario(bayes={"p_occ_given_hit": 0.3})}, "map s.yaml", 2),
+    ("map: bayes clamp NaN", {"s.yaml": scenario(bayes={"clamp": math.nan})},
+     "map s.yaml", 2),
     ("map: planner max_risk NaN",
      {"s.yaml": scenario(planner={"max_risk": math.nan})}, "map s.yaml", 2),
     ("map: robot mass NaN", {"s.yaml": scenario(robot={"mass": math.nan})},
@@ -240,6 +243,14 @@ BAD_INPUTS = [
      {"d": dump("bayes_grid.dump",
                 lambda t: _with_first_row(t, "logodds", "inf")),
       "p.csv": PATH}, "eval-path d p.csv --engine bayes", 3),
+    ("eval-path bayes: clamp nan",
+     {"d": dump("bayes_grid.dump",
+                lambda t: t.replace("\nclamp 10.0\n", "\nclamp nan\n")),
+      "p.csv": PATH}, "eval-path d p.csv --engine bayes", 3),
+    ("eval-path bayes: clamp -1",
+     {"d": dump("bayes_grid.dump",
+                lambda t: t.replace("\nclamp 10.0\n", "\nclamp -1\n")),
+      "p.csv": PATH}, "eval-path d p.csv --engine bayes", 3),
     ("eval-path lambda: path leaves the grid", {"p.csv": OFF_GRID_PATH},
      "eval-path {mapped}/lambda_grid.dump p.csv", 2),
     ("eval-path bayes: path leaves the grid", {"p.csv": OFF_GRID_PATH},
@@ -248,6 +259,7 @@ BAD_INPUTS = [
     ("compare: --resolutions -0.1", {}, "compare --resolutions -0.1", 2),
     ("compare: --resolutions empty", {}, "compare --resolutions ,", 2),
     ("compare: cell area underflows", {}, "compare --resolutions 1e-200", 2),
+    ("compare: cell count overflows", {}, "compare --resolutions 3e-162", 2),
     ("compare: --base-resolution 0", {},
      "compare --resolutions 0.1 --base-resolution 0", 2),
     ("compare: --base-cells 0", {}, "compare --resolutions 0.1 --base-cells 0",
@@ -337,6 +349,22 @@ class TestCompare:
         assert float(pb1) == pytest.approx(0.3439, abs=1e-6)
         assert float(pb2) == pytest.approx(0.19, abs=1e-6)
         assert float(pl1) == pytest.approx(float(pl2), abs=1e-9)
+
+    def test_fine_resolution_needs_no_per_cell_memory(self, runner, tmp_path):
+        """640 000 cells at 0.0005 m: the closed forms give 1 - 0.9^4 at
+        both resolutions without a per-cell list."""
+        tracemalloc.start()
+        try:
+            result = runner.invoke(main, ["compare", "--resolutions",
+                                          "0.2,0.0005", "-o", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 0, result.output
+        assert peak < 1_000_000
+        rows = (tmp_path / "compare.csv").read_text().strip().splitlines()[1:]
+        for row in rows:
+            assert abs(float(row.split(",")[1]) - 0.3439) <= 1e-15
 
     def test_row_per_resolution(self, runner, tmp_path):
         result = runner.invoke(main, ["compare", "--resolutions",

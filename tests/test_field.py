@@ -161,6 +161,21 @@ class TestLambdaGrid:
             ci = confidence_bounds(grid.stats(i), sensor)
             assert (low[i], high[i]) == (ci.lambda_low, ci.lambda_high)
 
+    def test_maps_at_cells_equal_full_maps(self, grid, rng):
+        """Estimates read at given cells equal the whole-grid maps there,
+        for saturated, near-2^32, unobserved and no cells."""
+        probes = self._random_counts(grid, rng)
+        grid.hits[60:70] = grid.misses[60:70] = 0
+        probes = np.concatenate([probes, np.arange(60, 70)])
+        lam = grid.lambda_map()
+        low, high = grid.bound_maps()
+        for cells in (probes, rng.permutation(probes),
+                      np.array([], dtype=np.int64)):
+            got_low, got_high = grid.bound_maps(cells)
+            assert np.array_equal(grid.lambda_map(cells), lam[cells])
+            assert np.array_equal(got_low, low[cells])
+            assert np.array_equal(got_high, high[cells])
+
     def test_lambda_zero_iff_no_hits(self, grid, rng):
         n = grid.geometry.n_cells
         grid.hits[:] = rng.integers(0, 3, n)

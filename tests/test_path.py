@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from lambdafield import (PathCrossing, RobotShape, collision_pdf,
-                         constant_velocity, expected_risk, momentum_risk,
+from lambdafield import (GridGeometry, LambdaGrid, PathCrossing, RobotShape,
+                         SensorModel, collision_pdf, constant_velocity,
+                         expected_risk, momentum_risk,
                          path_collision_probability, swept_cells)
-from lambdafield.path import sweep_footprint
+from lambdafield import field
+from lambdafield.path import SAMPLES_PER_CELL, sweep_footprint
 
 
 def straight_poses(x0, x1, y, step=0.05):
@@ -68,6 +72,92 @@ class TestSweptCells:
         crossing = swept_cells(observed_free_grid,
                                straight_poses(0.5, 2.5, 1.17), shape)
         assert (np.diff(crossing.cumulative_areas()) > 0).all()
+
+
+def _sweep_oracle(geometry, poses, width):
+    """Reference sweep: one step at a time, with a running sum per cell in a
+    dict whose insertion order is the traversal order."""
+    pts = np.asarray([(p[0], p[1]) for p in poses], dtype=np.float64)
+    spacing = geometry.resolution / SAMPLES_PER_CELL
+    n_w = max(3, int(math.ceil(width / spacing)))
+    offsets = ((np.arange(n_w) + 0.5) / n_w - 0.5) * width
+    areas = {}
+    for a, b in zip(pts[:-1], pts[1:]):
+        step_vec = b - a
+        ds = float(np.hypot(*step_vec))
+        if ds == 0.0:
+            continue
+        tangent = step_vec / ds
+        normal = np.array([-tangent[1], tangent[0]])
+        n_l = max(1, int(math.ceil(ds / spacing)))
+        ts = (np.arange(n_l) + 0.5) / n_l
+        centers = a[None, :] + ts[:, None] * step_vec[None, :]
+        samples = (centers[:, None, :]
+                   + offsets[None, :, None] * normal[None, None, :])
+        samples = samples.reshape(-1, 2)
+        try:
+            flat = geometry.flat_of_points(samples[:, 0], samples[:, 1])
+        except ValueError:
+            raise ValueError("swept path exits grid") from None
+        sample_area = width * ds / (n_l * n_w)
+        for idx in flat.tolist():
+            areas[idx] = areas.get(idx, 0.0) + sample_area
+    return (np.fromiter(areas.keys(), dtype=np.int64, count=len(areas)),
+            np.fromiter(areas.values(), dtype=np.float64, count=len(areas)))
+
+
+@st.composite
+def polylines(draw):
+    """A walk of up to 15 poses from a start inside, on or beyond the edge of
+    a 4 m x 3 m grid; a quarter of the steps repeat the previous pose."""
+    x, y = draw(st.floats(-0.5, 4.5)), draw(st.floats(-0.5, 3.5))
+    poses = []
+    for _ in range(draw(st.integers(0, 15))):
+        poses.append((x, y, 0.0))
+        if draw(st.integers(0, 3)):
+            x += draw(st.floats(-0.15, 0.15))
+            y += draw(st.floats(-0.15, 0.15))
+    return poses
+
+
+def _sweep_outcome(sweep, geometry, poses, width):
+    try:
+        cells, areas = sweep(geometry, poses, width)
+    except ValueError as err:
+        return str(err)
+    return cells.dtype, cells.tobytes(), areas.dtype, areas.tobytes()
+
+
+class TestSweepFootprint:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([0.05, 0.1, 0.2]), polylines(),
+           st.floats(0.05, 0.8))
+    @example(0.1, [], 0.4)
+    @example(0.1, [(1.0, 1.0, 0.0)], 0.4)
+    @example(0.1, [(1.0, 1.0, 0.0)] * 3 + [(1.05, 1.0, 0.0)] * 2, 0.4)
+    @example(0.1, [(3.9, 1.0, 0.0), (4.0, 1.0, 0.0), (4.1, 1.0, 0.0)], 0.4)
+    def test_matches_per_step_oracle(self, resolution, poses, width):
+        """Same cells, order and areas bitwise, or the same ValueError."""
+        geometry = GridGeometry(0.0, 0.0, resolution, round(4.0 / resolution),
+                                round(3.0 / resolution))
+        assert (_sweep_outcome(sweep_footprint, geometry, poses, width)
+                == _sweep_outcome(_sweep_oracle, geometry, poses, width))
+
+    def test_swept_cells_reads_only_crossed_cells(self, monkeypatch):
+        """On a 2000 x 2000 grid the estimators see the crossed cells alone,
+        not whole-grid arrays."""
+        grid = LambdaGrid(GridGeometry(0.0, 0.0, 0.05, 2000, 2000),
+                          SensorModel())
+        seen = []
+        for name in ("_mle", "_bounds"):
+            def spy(h, m, *args, real=getattr(field, name)):
+                seen.append(max(len(h), len(m)))
+                return real(h, m, *args)
+            monkeypatch.setattr(field, name, spy)
+        crossing = swept_cells(grid, straight_poses(10.0, 12.0, 50.0),
+                               RobotShape(0.4))
+        assert len(crossing) > 0
+        assert seen == [len(crossing)] * 2
 
 
 class TestCollisionPdf:
