@@ -14,13 +14,13 @@ read through ``_load``, which reports any failure to read or parse it as 3.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 import sys
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 import jsonschema
 import numpy as np
 import yaml
@@ -264,7 +264,14 @@ def cmd_simulate_scans(scenario_file, seed, output_dir):
 @click.option("--output-dir", "-o", type=click.Path(), default=None)
 def cmd_eval_path(dump_file, path_file, engine, bound, width, mass, speed,
                   unit_risk, output_dir):
-    """Collision probability and expected risk of a path over a saved grid."""
+    """Collision probability and expected risk of a path over a saved grid.
+    The Bayes engine takes the footprint ``--width`` only."""
+    ctx = click.get_current_context()
+    unused = [p.opts[0] for p in ctx.command.params
+              if p.name in ("bound", "unit_risk", "speed", "mass")
+              and ctx.get_parameter_source(p.name) is not ParameterSource.DEFAULT]
+    if engine == "bayes" and unused:
+        raise ValueError(f"{', '.join(unused)}: not used by --engine bayes")
     out = _output_dir(output_dir)
     poses = _load(lfio.load_path_csv, path_file)
     loader = lfio.load_bayes_grid if engine == "bayes" else lfio.load_lambda_grid
@@ -272,25 +279,19 @@ def cmd_eval_path(dump_file, path_file, engine, bound, width, mass, speed,
     shape = RobotShape(width=width, mass=mass)
     if engine == "bayes":
         cells, _ = sweep_footprint(grid.geometry, poses, shape.width)
-        p_coll = naive_path_probability(grid, cells)
-        click.echo(f"P_coll {p_coll!r}")
-        (out / "summary.csv").write_text(
-            "engine,p_coll,expected_risk\n"
-            f"bayes,{p_coll!r},\n")
-        return
-    crossing = swept_cells(grid, poses, shape)
-    p_coll = path_collision_probability(crossing, bound)
-    if unit_risk:
-        risk_fn = lambda a: 1.0
+        p_coll, risk = naive_path_probability(grid, cells), ""
     else:
-        risk_fn = momentum_risk(shape, constant_velocity(speed))
-    risk = expected_risk(crossing, risk_fn, bound)
-    lfio.save_risk_report(out / "risk_report.csv", crossing, risk_fn, bound)
+        crossing = swept_cells(grid, poses, shape)
+        p_coll = path_collision_probability(crossing, bound)
+        risk_fn = ((lambda a: 1.0) if unit_risk
+                   else momentum_risk(shape, constant_velocity(speed)))
+        risk = f"{expected_risk(crossing, risk_fn, bound)!r}"
+        lfio.save_risk_report(out / "risk_report.csv", crossing, risk_fn, bound)
     (out / "summary.csv").write_text(
-        "engine,p_coll,expected_risk\n"
-        f"lambda,{p_coll!r},{risk!r}\n")
+        f"engine,p_coll,expected_risk\n{engine},{p_coll!r},{risk}\n")
     click.echo(f"P_coll {p_coll!r}")
-    click.echo(f"E_risk {risk!r}")
+    if risk:
+        click.echo(f"E_risk {risk}")
 
 
 @main.command("plan")
@@ -345,17 +346,16 @@ def cmd_compare(base_prob, base_resolution, base_cells, resolutions,
         raise ValueError("--resolutions: the region holds too many cells")
     out = _output_dir(output_dir)
     intensity = -math.log1p(-base_prob) / base_area
-    with open(out / "compare.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["resolution", "p_lambda", "p_bayes_naive"])
-        for res in res_list:
-            # closed forms over n_cells equal cells: no per-cell arrays
-            area = res * res
-            n_cells = max(1, round(region_area / area))
-            p_lambda = collision_probability(n_cells * area * intensity)
-            p_bayes = -math.expm1(n_cells * math.log1p(-base_prob))
-            writer.writerow([repr(res), repr(p_lambda), repr(p_bayes)])
-            click.echo(f"{res!r} {p_lambda!r} {p_bayes!r}")
+    # closed forms over n_cells equal cells: no per-cell arrays
+    n_cells = [max(1, round(region_area / (r * r))) for r in res_list]
+    p_lambda = [collision_probability(n * (r * r) * intensity)
+                for n, r in zip(n_cells, res_list)]
+    p_bayes = [-math.expm1(n * math.log1p(-base_prob)) for n in n_cells]
+    lfio._write_table(out / "compare.csv",
+                      [("resolution", "p_lambda", "p_bayes_naive")],
+                      [res_list, p_lambda, p_bayes])
+    for res, p_l, p_b in zip(res_list, p_lambda, p_bayes):
+        click.echo(f"{res} {p_l} {p_b}")
 
 
 if __name__ == "__main__":

@@ -11,12 +11,32 @@ import numpy as np
 from .bayes import BayesGrid
 from .field import COUNT_MAX, LambdaGrid, SensorModel
 from .geometry import GridGeometry
-from .path import PathCrossing, risk_terms
+from .path import PathCrossing, partial_risks, risk_terms
 from .sensor import Beam, GroundTruthMap
 
 LAMBDA_DUMP_MAGIC = "lambda-field-grid"
 BAYES_DUMP_MAGIC = "bayes-grid"
 DUMP_VERSION = 1
+# Rows that ``_write_table`` converts at a time, so no whole-grid list is built
+TABLE_BLOCK_ROWS = 4096
+
+
+def _write_table(path: str | Path, head: list, columns: list,
+                 **fmtparams) -> None:
+    """Writes the ``head`` rows, then row i of the equal-length ``columns``
+    for each i, through ``csv.writer(fh, **fmtparams)``. A column is an array,
+    a list, or a function from row numbers to the column's values there.
+    ``tolist()`` converts them a block of rows at a time, so each float is
+    written as the shortest ``repr`` that reads back to the same double."""
+    n_rows = len(next(c for c in columns if not callable(c)))
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, **fmtparams)
+        writer.writerows(head)
+        for start in range(0, n_rows, TABLE_BLOCK_ROWS):
+            stop = min(start + TABLE_BLOCK_ROWS, n_rows)
+            block = [np.asarray(c(np.arange(start, stop)) if callable(c)
+                                else c[start:stop]).tolist() for c in columns]
+            writer.writerows(zip(*block))
 
 
 def save_lambda_grid(grid: LambdaGrid, path: str | Path) -> None:
@@ -26,7 +46,7 @@ def save_lambda_grid(grid: LambdaGrid, path: str | Path) -> None:
     _write_dump(path, LAMBDA_DUMP_MAGIC, grid.geometry,
                 [("lambda_max", grid.lambda_max),
                  ("sensor", s.p_hit, s.p_miss, s.error_area, s.max_range)],
-                "counts", [f"{h} {m}" for h, m in zip(grid.hits, grid.misses)])
+                "counts", [grid.hits, grid.misses])
 
 
 def load_lambda_grid(path: str | Path) -> LambdaGrid:
@@ -48,7 +68,7 @@ def save_bayes_grid(grid: BayesGrid, path: str | Path) -> None:
     _write_dump(path, BAYES_DUMP_MAGIC, grid.geometry,
                 [("clamp", grid.log_odds_clamp),
                  ("updates", grid.l_occ, grid.l_free)],
-                "logodds", [repr(float(v)) for v in grid.log_odds])
+                "logodds", [grid.log_odds])
 
 
 def load_bayes_grid(path: str | Path) -> BayesGrid:
@@ -56,23 +76,22 @@ def load_bayes_grid(path: str | Path) -> BayesGrid:
                                    {"clamp": 1, "updates": 2}, "logodds")
     grid = BayesGrid(geo, log_odds_clamp=header["clamp"][0])
     grid.l_occ, grid.l_free = header["updates"]
-    grid.log_odds = np.array([float(v) for v in body])
+    grid.log_odds = np.array(body, dtype=np.float64)
     if not np.isfinite(grid.log_odds).all():
         raise ValueError(f"{path}: log-odds must be finite")
     return grid
 
 
 def _write_dump(path: str | Path, magic: str, geo: GridGeometry,
-                fields: list[tuple], marker: str, body: list[str]) -> None:
-    """Magic line, geometry, then one ``key value...`` line per field, the
-    body marker and one body line per cell."""
-    lines = [f"{magic} {DUMP_VERSION}",
-             f"origin {geo.origin_x!r} {geo.origin_y!r}",
-             f"resolution {geo.resolution!r}",
-             f"size {geo.n_cols} {geo.n_rows}",
-             *(" ".join([key, *map(repr, vals)]) for key, *vals in fields),
-             marker, *body]
-    Path(path).write_text("\n".join(lines) + "\n")
+                fields: list[tuple], marker: str, columns: list) -> None:
+    """Magic line, geometry, one ``key value...`` line per field, the body
+    marker, then one line per cell of its ``columns`` values."""
+    head = [(magic, DUMP_VERSION),
+            ("origin", geo.origin_x, geo.origin_y),
+            ("resolution", geo.resolution),
+            ("size", geo.n_cols, geo.n_rows),
+            *fields, (marker,)]
+    _write_table(path, head, columns, delimiter=" ", lineterminator="\n")
 
 
 def _read_dump(path: str | Path, magic: str, arity: dict[str, int],
@@ -107,30 +126,22 @@ def _read_dump(path: str | Path, magic: str, arity: dict[str, int],
 
 def export_lambda_csv(grid: LambdaGrid, path: str | Path) -> None:
     """col,row,h,m,lambda,lambda_low,lambda_high for every cell."""
-    lam = grid.lambda_map()
     low, high = grid.bound_maps()
-    geo = grid.geometry
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["col", "row", "h", "m", "lambda", "lambda_low",
-                         "lambda_high"])
-        for i in range(geo.n_cells):
-            col, row = geo.unflat(i)
-            writer.writerow([col, row, int(grid.hits[i]), int(grid.misses[i]),
-                             repr(float(lam[i])), repr(float(low[i])),
-                             repr(float(high[i]))])
+    _write_table(path, [("col", "row", "h", "m", "lambda", "lambda_low",
+                         "lambda_high")],
+                 [*_col_row(grid.geometry), grid.hits, grid.misses,
+                  grid.lambda_map(), low, high])
 
 
 def export_bayes_csv(grid: BayesGrid, path: str | Path) -> None:
-    occ = grid.occupancy()
-    geo = grid.geometry
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["col", "row", "log_odds", "p_occ"])
-        for i in range(geo.n_cells):
-            col, row = geo.unflat(i)
-            writer.writerow([col, row, repr(float(grid.log_odds[i])),
-                             repr(float(occ[i]))])
+    """col,row,log_odds,p_occ for every cell."""
+    _write_table(path, [("col", "row", "log_odds", "p_occ")],
+                 [*_col_row(grid.geometry), grid.log_odds, grid.occupancy()])
+
+
+def _col_row(geo: GridGeometry) -> list:
+    """Table columns of each cell's col and row, from its flat index."""
+    return [lambda i: i % geo.n_cols, lambda i: i // geo.n_cols]
 
 
 def export_lambda_pgm(grid: LambdaGrid, path: str | Path) -> None:
@@ -206,12 +217,17 @@ def load_ground_truth(path: str | Path, geometry: GridGeometry | None = None,
         return GroundTruthMap(geometry, pixels.reshape(-1) * scale)
     if geometry is None:
         raise ValueError("CSV ground truth needs an explicit geometry")
+    # ValueError on a non-number or on rows of different lengths
+    table = np.array(_csv_rows(path, ["col", "row", "lambda"])
+                     or np.empty((0, 3)), dtype=np.float64)
+    if table.shape[1:] != (3,):
+        raise ValueError(f"{path}: rows must be col,row,lambda")
+    cells = table[:, :2]
+    if not ((cells == np.floor(cells)) & (cells >= 0)
+            & (cells < [geometry.n_cols, geometry.n_rows])).all():
+        raise ValueError(f"{path}: a col,row is not a cell of the grid")
     values = np.zeros(geometry.n_cells)
-    for col, row, lam in _csv_rows(path, ["col", "row", "lambda"]):
-        col, row = int(col), int(row)
-        if not geometry.contains(*geometry.cell_center(col, row)):
-            raise ValueError(f"{path}: cell ({col}, {row}) outside the grid")
-        values[geometry.flat(col, row)] = float(lam)
+    values[(cells @ [1, geometry.n_cols]).astype(np.int64)] = table[:, 2]
     return GroundTruthMap(geometry, values)
 
 
@@ -233,32 +249,13 @@ def save_scan_log(path: str | Path,
                   scans: list[tuple[float, tuple[float, float, float], list[Beam]]]
                   ) -> None:
     """CSV of (t, pose_x, pose_y, pose_theta, angle, range, hit), one row per beam."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "pose_x", "pose_y", "pose_theta", "angle",
-                         "range", "hit"])
-        for t, pose, beams in scans:
-            for beam in beams:
-                angle = math.atan2(beam.direction[1], beam.direction[0])
-                writer.writerow([repr(t), repr(pose[0]), repr(pose[1]),
-                                 repr(pose[2]), repr(angle),
-                                 repr(beam.measured_range), int(beam.hit)])
-
-
-def load_scan_log(path: str | Path
-                  ) -> list[tuple[float, tuple[float, float, float], list[Beam]]]:
-    scans: dict[tuple, list[Beam]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            key = (float(row["t"]), (float(row["pose_x"]), float(row["pose_y"]),
-                                     float(row["pose_theta"])))
-            angle = float(row["angle"])
-            beam = Beam((key[1][0], key[1][1]),
-                        (math.cos(angle), math.sin(angle)),
-                        float(row["range"]), bool(int(row["hit"])))
-            scans.setdefault(key, []).append(beam)
-    return [(t, pose, beams) for (t, pose), beams in scans.items()]
+    values = [(t, pose[0], pose[1], pose[2],
+               math.atan2(beam.direction[1], beam.direction[0]),
+               beam.measured_range) for t, pose, beams in scans for beam in beams]
+    hits = [int(beam.hit) for _, _, beams in scans for beam in beams]
+    _write_table(path, [("t", "pose_x", "pose_y", "pose_theta", "angle",
+                         "range", "hit")],
+                 [*np.array(values, dtype=np.float64).reshape(-1, 6).T, hits])
 
 
 def save_risk_report(path: str | Path, crossing: PathCrossing, risk_fn,
@@ -270,29 +267,19 @@ def save_risk_report(path: str | Path, crossing: PathCrossing, risk_fn,
     ``partial_risk`` the cell's term of ``expected_risk``.
     """
     lam, cum, survive, hit = risk_terms(crossing, use_bound)
-    density = survive * lam
-    cdf = np.cumsum(survive * hit)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cell_index", "cum_area", "lambda", "f", "cdf",
-                         "partial_risk"])
-        for i in range(len(crossing)):
-            partial = risk_fn(float(cum[i])) * survive[i] * hit[i]
-            writer.writerow([int(crossing.cells[i]), repr(float(cum[i])),
-                             repr(float(lam[i])), repr(float(density[i])),
-                             repr(float(cdf[i])), repr(float(partial))])
+    _write_table(path, [("cell_index", "cum_area", "lambda", "f", "cdf",
+                         "partial_risk")],
+                 [crossing.cells, cum[:-1], lam, survive * lam,
+                  np.cumsum(survive * hit),
+                  partial_risks(crossing, risk_fn, use_bound)])
 
 
 def save_planner_log(path: str | Path, log) -> None:
     """CSV of (t, v, omega, risk_upper, n_admissible, stopped_flag) per step."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "v", "omega", "risk_upper", "n_admissible",
-                         "stopped_flag"])
-        for step in log:
-            writer.writerow([repr(step.t), repr(step.v), repr(step.omega),
-                             repr(step.risk_upper), step.n_admissible,
-                             int(step.stopped)])
+    names = ("t", "v", "omega", "risk_upper", "n_admissible")
+    _write_table(path, [(*names, "stopped_flag")],
+                 [*([getattr(step, name) for step in log] for name in names),
+                  [int(step.stopped) for step in log]])
 
 
 def load_path_csv(path: str | Path) -> np.ndarray:
@@ -307,8 +294,6 @@ def load_path_csv(path: str | Path) -> np.ndarray:
 
 
 def save_path_csv(path: str | Path, poses: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "theta"])
-        for pose in np.asarray(poses):
-            writer.writerow([repr(float(v)) for v in pose[:3]])
+    """CSV of x,y,theta, one row per pose of an (N, 3) array."""
+    _write_table(path, [("x", "y", "theta")],
+                 list(np.asarray(poses, dtype=np.float64)[:, :3].T))

@@ -1,7 +1,8 @@
 """Swept-footprint path crossings and collision risk along them.
 
 ``risk_terms`` holds the first-collision law along a crossing; the density,
-the expected risk and the risk report all read from it.
+the expected risk and the risk report all read from it, the last two through
+``partial_risks``.
 """
 
 from __future__ import annotations
@@ -66,13 +67,10 @@ class PathCrossing:
         return np.concatenate(([0.0], np.cumsum(self.areas)))
 
     def lambdas(self, use_bound: str = "mle") -> np.ndarray:
-        if use_bound == "mle":
-            return self.lam_mle
-        if use_bound == "lower":
-            return self.lam_low
-        if use_bound == "upper":
-            return self.lam_high
-        raise ValueError(f"unknown bound {use_bound!r}; expected mle/lower/upper")
+        lams = {"mle": self.lam_mle, "lower": self.lam_low, "upper": self.lam_high}
+        if use_bound not in lams:
+            raise ValueError(f"unknown bound {use_bound!r}; expected mle/lower/upper")
+        return lams[use_bound]
 
     @classmethod
     def from_lambdas(cls, lambdas: Sequence[float], areas: Sequence[float]) -> "PathCrossing":
@@ -120,6 +118,15 @@ def sweep_footprint(geometry: GridGeometry,
     ds = np.hypot(step_vec[:, 0], step_vec[:, 1])
     moves = ds != 0.0
     starts, step_vec, ds = pts[:-1][moves], step_vec[moves], ds[moves]
+    # A sample lies within spacing/2 + width/2 of each end of a moving step,
+    # so an end farther out of the grid box is rejected before the samples
+    # of a step of any length are allocated.
+    ends = (np.concatenate([starts, pts[1:][moves]])
+            - [geometry.origin_x, geometry.origin_y])
+    margin = spacing / 2 + width / 2
+    if ((ends < -margin) | (ends > [geometry.width + margin,
+                                    geometry.height + margin])).any():
+        raise ValueError("swept path exits grid")
     normal = np.column_stack([-step_vec[:, 1], step_vec[:, 0]]) / ds[:, None]
     n_l = np.maximum(1, np.ceil(ds / spacing).astype(np.int64))
     # one row per sample center: its step, and its position ts along it
@@ -181,16 +188,21 @@ def path_collision_probability(crossing: PathCrossing,
     return collision_probability(float(np.dot(crossing.areas, lam)))
 
 
-def expected_risk(crossing: PathCrossing, risk_fn: Callable[[float], float],
-                  use_bound: str = "mle") -> float:
-    """Expectation of risk_fn at the first-collision location.
-
-    Per-cell sum r(A(i)) * survive_i * hit_i over ``risk_terms``, with r
-    evaluated at each cell's cumulative-area left endpoint.
-    """
+def partial_risks(crossing: PathCrossing, risk_fn: Callable[[float], float],
+                  use_bound: str = "mle") -> np.ndarray:
+    """Per-cell terms r(A(i)) * survive_i * hit_i of ``expected_risk`` over
+    ``risk_terms``, with r evaluated at each cell's cumulative-area left
+    endpoint."""
     _, cum, survive, hit = risk_terms(crossing, use_bound)
     r_vals = np.array([risk_fn(float(ai)) for ai in cum[:-1]])
-    return float(np.sum(r_vals * survive * hit))
+    return r_vals * survive * hit
+
+
+def expected_risk(crossing: PathCrossing, risk_fn: Callable[[float], float],
+                  use_bound: str = "mle") -> float:
+    """Expectation of risk_fn at the first-collision location: the sum of
+    ``partial_risks``."""
+    return float(np.sum(partial_risks(crossing, risk_fn, use_bound)))
 
 
 def momentum_risk(shape: RobotShape,

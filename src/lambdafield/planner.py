@@ -118,7 +118,9 @@ def plan_step(grid: LambdaGrid, pose: tuple[float, float, float],
 def admissible_candidates(grid: LambdaGrid, pose: tuple[float, float, float],
                           reference_path: np.ndarray, shape: RobotShape,
                           config: PlannerConfig) -> list[TrajectoryCandidate]:
-    """All sampled arcs that pass the risk gate, scored against the reference."""
+    """All sampled arcs that pass the risk gate, scored by closeness: the mean
+    distance from each arc pose to the nearest reference *pose*, not segment,
+    so a reference with sparse waypoints must be densified first."""
     if not grid.geometry.contains(pose[0], pose[1]):
         raise ValueError("pose outside grid")
     reference = np.asarray(reference_path, dtype=np.float64)[:, :2]

@@ -1,3 +1,4 @@
+import csv
 import math
 import tracemalloc
 from pathlib import Path
@@ -72,6 +73,14 @@ class TestMap:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
 
+    def test_scan_log_holds_numbers(self, mapped):
+        """Every column of ``scans.csv`` reads as floats (the pose columns
+        once held ``np.float64(...)`` reprs)."""
+        with open(mapped / "scans.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        table = np.array(rows, dtype=np.float64)
+        assert table.shape == (2 * 90, len(header)) and np.isfinite(table).all()
+
     def test_empty_pose_script_gives_prior_maps(self, runner, tmp_path):
         f = tmp_path / "scenario.yaml"
         f.write_text("grid: {cols: 10, rows: 10}\n")
@@ -125,16 +134,21 @@ class TestEvalPath:
                                                        abs=1e-12)
 
     def test_bayes_engine(self, runner, tmp_path):
+        """The Bayes engine prints P_coll, and ``--width`` changes it."""
         scen = write_scenario(tmp_path)
         out = tmp_path / "out"
         assert runner.invoke(main, ["map", scen, "-o", str(out)]).exit_code == 0
         path = write_path(tmp_path, np.arange(1.0, 2.01, 0.05), 2.0)
-        result = runner.invoke(main, ["eval-path",
-                                      str(out / "bayes_grid.dump"), path,
-                                      "--engine", "bayes",
-                                      "-o", str(tmp_path / "eval")])
-        assert result.exit_code == 0, result.output
-        assert "P_coll" in result.output
+        printed = []
+        for width in ("0.4", "0.1"):
+            result = runner.invoke(main, ["eval-path",
+                                          str(out / "bayes_grid.dump"), path,
+                                          "--engine", "bayes", "--width", width,
+                                          "-o", str(tmp_path / "eval")])
+            assert result.exit_code == 0, result.output
+            assert result.output.startswith("P_coll ")
+            printed.append(result.output)
+        assert printed[0] != printed[1]
 
 
 def _with_first_row(text: str, marker: str, row: str) -> str:
@@ -199,6 +213,15 @@ BAD_INPUTS = [
     ("map: ground-truth CSV with NaN",
      {"s.yaml": WITH_TRUTH_CSV, "truth.csv": "col,row,lambda\n3,4,nan\n"},
      "map s.yaml", 3),
+    ("map: ground-truth CSV row with two fields",
+     {"s.yaml": WITH_TRUTH_CSV, "truth.csv": "col,row,lambda\n3,4\n"},
+     "map s.yaml", 3),
+    ("map: ground-truth CSV with a blank row",
+     {"s.yaml": WITH_TRUTH_CSV, "truth.csv": "col,row,lambda\n3,4,1.0\n\n"},
+     "map s.yaml", 3),
+    ("map: ground-truth cell 1.5",
+     {"s.yaml": WITH_TRUTH_CSV, "truth.csv": "col,row,lambda\n1.5,4,1.0\n"},
+     "map s.yaml", 3),
     ("map: ground-truth cell outside the grid",
      {"s.yaml": WITH_TRUTH_CSV, "truth.csv": "col,row,lambda\n40,3,1.0\n"},
      "map s.yaml", 3),
@@ -255,6 +278,10 @@ BAD_INPUTS = [
      "eval-path {mapped}/lambda_grid.dump p.csv", 2),
     ("eval-path bayes: path leaves the grid", {"p.csv": OFF_GRID_PATH},
      "eval-path {mapped}/bayes_grid.dump p.csv --engine bayes", 2),
+    *((f"eval-path bayes: {flag} is not used", {"p.csv": PATH},
+       f"eval-path {{mapped}}/bayes_grid.dump p.csv --engine bayes {flag}", 2)
+      for flag in ("--bound upper", "--bound mle", "--unit-risk",
+                   "--speed 0.5", "--mass 10")),
     ("compare: --resolutions 0", {}, "compare --resolutions 0", 2),
     ("compare: --resolutions -0.1", {}, "compare --resolutions -0.1", 2),
     ("compare: --resolutions empty", {}, "compare --resolutions ,", 2),

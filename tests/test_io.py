@@ -1,5 +1,7 @@
 import csv
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,9 @@ from lambdafield import (BayesGrid, GridGeometry, LambdaGrid, PathCrossing,
                          SensorModel, collision_pdf, expected_risk,
                          path_collision_probability)
 from lambdafield import io as lfio
+from lambdafield.field import COUNT_MAX
+from lambdafield.path import risk_terms
+from lambdafield.planner import EpisodeStep
 from lambdafield.sensor import Beam
 
 
@@ -200,19 +205,22 @@ class TestPgm:
 
 
 class TestScanAndPathFiles:
-    def test_scan_log_round_trip(self, tmp_path):
+    def test_scan_log_rows(self, tmp_path):
+        """One row per beam, every value a plain number, also for the numpy
+        scalars a pose array yields."""
         beams = [Beam((1.0, 2.0), (1.0, 0.0), 3.5, True),
                  Beam((1.0, 2.0), (0.0, 1.0), 10.0, False)]
-        scans = [(0.0, (1.0, 2.0, 0.25), beams)]
+        scans = [(0.0, tuple(np.array([1.0, 2.0, 0.25])), beams),
+                 (1.0, (1.5, 2.0, -0.5), beams[:1])]
         f = tmp_path / "scans.csv"
         lfio.save_scan_log(f, scans)
-        loaded = lfio.load_scan_log(f)
-        assert len(loaded) == 1
-        t, pose, got = loaded[0]
-        assert pose == (1.0, 2.0, 0.25)
-        assert got[0].measured_range == 3.5 and got[0].hit
-        assert not got[1].hit
-        np.testing.assert_allclose(got[1].direction, (0.0, 1.0), atol=1e-15)
+        with open(f, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [
+            ["t", "pose_x", "pose_y", "pose_theta", "angle", "range", "hit"],
+            ["0.0", "1.0", "2.0", "0.25", "0.0", "3.5", "1"],
+            ["0.0", "1.0", "2.0", "0.25", repr(math.pi / 2), "10.0", "0"],
+            ["1.0", "1.5", "2.0", "-0.5", "0.0", "3.5", "1"]]
 
     def test_path_round_trip(self, tmp_path):
         poses = np.array([[0.0, 1.0, 0.5], [0.25, 1.5, -0.5]])
@@ -258,3 +266,177 @@ class TestScanAndPathFiles:
                                       rel=1e-12)
         assert float(rows[-1]["cdf"]) == pytest.approx(
             path_collision_probability(crossing), rel=1e-12)
+
+
+# The per-row writers the package had before ``io._write_table``, kept as
+# byte oracles for it.
+
+def _oracle_dump(path, magic, geo, fields, marker, body):
+    lines = [f"{magic} {lfio.DUMP_VERSION}",
+             f"origin {geo.origin_x!r} {geo.origin_y!r}",
+             f"resolution {geo.resolution!r}",
+             f"size {geo.n_cols} {geo.n_rows}",
+             *(" ".join([key, *map(repr, vals)]) for key, *vals in fields),
+             marker, *body]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _oracle_save_lambda_grid(grid, path):
+    s = grid.sensor
+    _oracle_dump(path, lfio.LAMBDA_DUMP_MAGIC, grid.geometry,
+                 [("lambda_max", grid.lambda_max),
+                  ("sensor", s.p_hit, s.p_miss, s.error_area, s.max_range)],
+                 "counts", [f"{h} {m}" for h, m in zip(grid.hits, grid.misses)])
+
+
+def _oracle_save_bayes_grid(grid, path):
+    _oracle_dump(path, lfio.BAYES_DUMP_MAGIC, grid.geometry,
+                 [("clamp", grid.log_odds_clamp),
+                  ("updates", grid.l_occ, grid.l_free)],
+                 "logodds", [repr(float(v)) for v in grid.log_odds])
+
+
+def _oracle_export_lambda_csv(grid, path):
+    lam = grid.lambda_map()
+    low, high = grid.bound_maps()
+    geo = grid.geometry
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["col", "row", "h", "m", "lambda", "lambda_low",
+                         "lambda_high"])
+        for i in range(geo.n_cells):
+            col, row = geo.unflat(i)
+            writer.writerow([col, row, int(grid.hits[i]), int(grid.misses[i]),
+                             repr(float(lam[i])), repr(float(low[i])),
+                             repr(float(high[i]))])
+
+
+def _oracle_export_bayes_csv(grid, path):
+    occ = grid.occupancy()
+    geo = grid.geometry
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["col", "row", "log_odds", "p_occ"])
+        for i in range(geo.n_cells):
+            col, row = geo.unflat(i)
+            writer.writerow([col, row, repr(float(grid.log_odds[i])),
+                             repr(float(occ[i]))])
+
+
+def _oracle_save_risk_report(path, crossing, risk_fn, use_bound="mle"):
+    lam, cum, survive, hit = risk_terms(crossing, use_bound)
+    density = survive * lam
+    cdf = np.cumsum(survive * hit)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["cell_index", "cum_area", "lambda", "f", "cdf",
+                         "partial_risk"])
+        for i in range(len(crossing)):
+            partial = risk_fn(float(cum[i])) * survive[i] * hit[i]
+            writer.writerow([int(crossing.cells[i]), repr(float(cum[i])),
+                             repr(float(lam[i])), repr(float(density[i])),
+                             repr(float(cdf[i])), repr(float(partial))])
+
+
+def _oracle_save_planner_log(path, log):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "v", "omega", "risk_upper", "n_admissible",
+                         "stopped_flag"])
+        for step in log:
+            writer.writerow([repr(step.t), repr(step.v), repr(step.omega),
+                             repr(step.risk_upper), step.n_admissible,
+                             int(step.stopped)])
+
+
+def _oracle_save_path_csv(path, poses):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "y", "theta"])
+        for pose in np.asarray(poses):
+            writer.writerow([repr(float(v)) for v in pose[:3]])
+
+
+def _same_bytes(tmp_path, write, oracle) -> bool:
+    """``write(path)`` and ``oracle(path)`` produce the same file."""
+    write(tmp_path / "new")
+    oracle(tmp_path / "oracle")
+    return (tmp_path / "new").read_bytes() == (tmp_path / "oracle").read_bytes()
+
+
+def _random_grids(cols, rows, seed):
+    """A lambda grid with counts from 0 to 2^32-1 and unobserved cells, and
+    a Bayes grid with log-odds up to and at +-clamp."""
+    rng = np.random.default_rng(seed)
+    geo = GridGeometry(-1.25, 0.5, 0.05, cols, rows)
+    grid = LambdaGrid(geo, SensorModel(0.98, 0.999, 0.05, 8.0), lambda_max=80.0)
+    for counts in (grid.hits, grid.misses):
+        counts[:] = rng.choice([0, 1, 7, 40, 12345, COUNT_MAX], geo.n_cells)
+        counts[rng.random(geo.n_cells) < 0.2] = 0
+    bayes = BayesGrid(geo, log_odds_clamp=7.5)
+    bayes.log_odds[:] = rng.choice([-7.5, 7.5, 0.0], geo.n_cells)
+    noisy = rng.random(geo.n_cells) < 0.5
+    bayes.log_odds[noisy] = rng.uniform(-7.5, 7.5, noisy.sum())
+    return grid, bayes
+
+
+class TestWritersMatchOracles:
+    """Every table writer gives the bytes of the per-row writer it replaced;
+    64 x 64 is one whole block of ``TABLE_BLOCK_ROWS`` and 70 x 61 spills
+    into a second one."""
+
+    @pytest.mark.parametrize("cols,rows,seed", [(1, 1, 0), (64, 64, 1),
+                                                (70, 61, 2), (13, 9, 3)])
+    def test_grid_files(self, cols, rows, seed, tmp_path):
+        grid, bayes = _random_grids(cols, rows, seed)
+        for write, oracle, g in [
+                (lfio.save_lambda_grid, _oracle_save_lambda_grid, grid),
+                (lfio.export_lambda_csv, _oracle_export_lambda_csv, grid),
+                (lfio.save_bayes_grid, _oracle_save_bayes_grid, bayes),
+                (lfio.export_bayes_csv, _oracle_export_bayes_csv, bayes)]:
+            assert _same_bytes(tmp_path, lambda f: write(g, f),
+                               lambda f: oracle(g, f)), write.__name__
+
+    @pytest.mark.parametrize("n", [0, 1200])
+    @pytest.mark.parametrize("bound", ["mle", "lower", "upper"])
+    def test_risk_report(self, n, bound, tmp_path, rng):
+        lam = rng.random(n) * 3.0
+        crossing = PathCrossing(rng.permutation(5000)[:n],
+                                rng.random(n) * 0.01 + 0.001,
+                                lam, lam * rng.random(n), lam + rng.random(n))
+        risk_fn = lambda a: 20.0 * (0.5 + a)
+        assert _same_bytes(
+            tmp_path,
+            lambda f: lfio.save_risk_report(f, crossing, risk_fn, bound),
+            lambda f: _oracle_save_risk_report(f, crossing, risk_fn, bound))
+
+    @pytest.mark.parametrize("log", [
+        [],
+        [EpisodeStep(0.0, 0.25, -0.5, 0.0625, 12, False),
+         EpisodeStep(1.0, 1.0 / 3.0, 0.1, 0.9999999999999999, 3, False),
+         EpisodeStep(2.0, 0.0, 0.0, math.nan, 0, True)]],
+        ids=["empty", "stopped"])
+    def test_planner_log(self, log, tmp_path):
+        assert _same_bytes(tmp_path, lambda f: lfio.save_planner_log(f, log),
+                           lambda f: _oracle_save_planner_log(f, log))
+
+    def test_path_csv(self, tmp_path, rng):
+        poses = rng.normal(0.0, 3.0, (500, 3))
+        poses[0] = [0.0, -0.0, 1e-300]
+        assert _same_bytes(tmp_path, lambda f: lfio.save_path_csv(f, poses),
+                           lambda f: _oracle_save_path_csv(f, poses))
+
+
+@pytest.mark.parametrize("save", [lfio.save_lambda_grid, lfio.save_bayes_grid])
+def test_dump_writer_memory_stays_flat(save, tmp_path):
+    """A 400 x 400 dump is written without a whole-grid list of rows or
+    strings (about 12 and 19 MB when each cell was a string)."""
+    grid, bayes = _random_grids(400, 400, 4)
+    target = grid if save is lfio.save_lambda_grid else bayes
+    tracemalloc.start()
+    try:
+        save(target, tmp_path / "grid.dump")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6, peak

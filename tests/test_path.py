@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,6 +143,20 @@ class TestSweepFootprint:
                                 round(3.0 / resolution))
         assert (_sweep_outcome(sweep_footprint, geometry, poses, width)
                 == _sweep_outcome(_sweep_oracle, geometry, poses, width))
+
+    def test_far_off_grid_pose_rejected_before_allocating(self):
+        """A step that ends 1000 m off the grid is rejected without building
+        its samples (about 156 MB of them)."""
+        geometry = GridGeometry(0.0, 0.0, 0.05, 80, 80)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exits grid"):
+                sweep_footprint(geometry, [(2.0, 2.0, 0.0), (1004.0, 2.0, 0.0)],
+                                0.4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, peak
 
     def test_swept_cells_reads_only_crossed_cells(self, monkeypatch):
         """On a 2000 x 2000 grid the estimators see the crossed cells alone,
