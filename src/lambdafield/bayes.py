@@ -51,14 +51,12 @@ class BayesGrid:
 
 def bayes_update(grid: BayesGrid, beam: Beam, sensor: SensorModel) -> None:
     """Standard log-odds update: traversed cells toward free, endpoint toward
-    occupied (hit beams only)."""
-    end = beam.endpoint() if beam.hit else (
-        beam.origin[0] + beam.direction[0] * sensor.max_range,
-        beam.origin[1] + beam.direction[1] * sensor.max_range)
-    traversed = trace_beam(grid.geometry, beam.origin, end)
-    if not traversed:
+    occupied (hit beams only). The beam ends at ``beam.endpoint()``; the
+    ``sensor`` is not read."""
+    end = beam.endpoint()
+    cells = trace_beam(grid.geometry, beam.origin, end)["cell"]
+    if not len(cells):
         return
-    cells = np.asarray([i for i, _ in traversed], dtype=np.int64)
     if beam.hit and grid.geometry.contains(*end):
         occupied = grid.geometry.flat(*grid.geometry.cell_of(*end))
         grid._bump(cells[cells != occupied], grid.l_free)

@@ -125,12 +125,13 @@ def _read_dump(path: str | Path, magic: str, arity: dict[str, int],
 
 
 def export_lambda_csv(grid: LambdaGrid, path: str | Path) -> None:
-    """col,row,h,m,lambda,lambda_low,lambda_high for every cell."""
-    low, high = grid.bound_maps()
+    """col,row,h,m,lambda,lambda_low,lambda_high for every cell; the
+    intensities are computed a block of rows at a time."""
     _write_table(path, [("col", "row", "h", "m", "lambda", "lambda_low",
                          "lambda_high")],
                  [*_col_row(grid.geometry), grid.hits, grid.misses,
-                  grid.lambda_map(), low, high])
+                  grid.lambda_map, lambda i: grid.bound_maps(i)[0],
+                  lambda i: grid.bound_maps(i)[1]])
 
 
 def export_bayes_csv(grid: BayesGrid, path: str | Path) -> None:

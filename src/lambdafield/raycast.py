@@ -1,4 +1,5 @@
-"""Exact grid traversal for lidar beams and error-disk rasterization."""
+"""Exact grid traversal for lidar beams, walked with array code, and
+error-disk rasterization."""
 
 from __future__ import annotations
 
@@ -9,14 +10,19 @@ import numpy as np
 from .geometry import GridGeometry
 
 
+CELL_CHORD = np.dtype([("cell", np.int64), ("chord", np.float64)])
+
+
 def trace_beam(geometry: GridGeometry, origin: tuple[float, float],
-               endpoint: tuple[float, float]) -> list[tuple[int, float]]:
+               endpoint: tuple[float, float]) -> np.ndarray:
     """Cells crossed by the segment origin->endpoint, with per-cell chord lengths.
 
-    Incremental line-through-grid walk (one boundary crossing per step).
     The origin must be inside the grid; the endpoint is clipped to the grid
-    boundary. Returns (flat cell index, chord length) ordered from the origin
-    outward; chords sum to the clipped segment length.
+    boundary, and a non-finite one crosses no cell. Returns one ``CELL_CHORD``
+    record per cell (flat ``cell`` index, ``chord`` length), ordered from the
+    origin outward; chords sum to the clipped segment length. Each axis's
+    boundary crossings are summed in the order of the incremental walk
+    (Amanatides & Woo), so the records equal that walk's bit for bit.
     """
     ox, oy = origin
     ex, ey = endpoint
@@ -25,8 +31,8 @@ def trace_beam(geometry: GridGeometry, origin: tuple[float, float],
     dx = ex - ox
     dy = ey - oy
     seg_len = math.hypot(dx, dy)
-    if seg_len == 0.0:
-        return []
+    if not 0.0 < seg_len < math.inf:
+        return np.empty(0, CELL_CHORD)
 
     # clip the parameter range [0, t_end] to the grid box
     t_end = 1.0
@@ -39,48 +45,51 @@ def trace_beam(geometry: GridGeometry, origin: tuple[float, float],
     elif dy < 0:
         t_end = min(t_end, (geometry.origin_y - oy) / dy)
     if t_end <= 0.0:
-        return []
+        return np.empty(0, CELL_CHORD)
 
     col, row = geometry.cell_of(ox, oy)
-    res = geometry.resolution
-
-    step_col = 1 if dx > 0 else -1
-    step_row = 1 if dy > 0 else -1
-    t_delta_x = res / abs(dx) if dx != 0 else math.inf
-    t_delta_y = res / abs(dy) if dy != 0 else math.inf
-
-    if dx > 0:
-        t_max_x = (geometry.origin_x + (col + 1) * res - ox) / dx
-    elif dx < 0:
-        t_max_x = (geometry.origin_x + col * res - ox) / dx
-    else:
-        t_max_x = math.inf
-    if dy > 0:
-        t_max_y = (geometry.origin_y + (row + 1) * res - oy) / dy
-    elif dy < 0:
-        t_max_y = (geometry.origin_y + row * res - oy) / dy
-    else:
-        t_max_y = math.inf
-
-    out: list[tuple[int, float]] = []
-    t_prev = 0.0
-    while True:
-        t_next = min(t_max_x, t_max_y, t_end)
-        chord = (t_next - t_prev) * seg_len
-        if chord > 1e-12 * seg_len:  # drop degenerate slivers at boundaries
-            out.append((row * geometry.n_cols + col, chord))
-        if t_next >= t_end:
-            break
-        if t_max_x <= t_max_y:
-            col += step_col
-            t_max_x += t_delta_x
-        else:
-            row += step_row
-            t_max_y += t_delta_y
-        if not (0 <= col < geometry.n_cols and 0 <= row < geometry.n_rows):
-            break
-        t_prev = t_next
+    t_x = _crossings(geometry.origin_x, geometry.resolution, geometry.n_cols,
+                     ox, dx, col, t_end)
+    t_y = _crossings(geometry.origin_y, geometry.resolution, geometry.n_rows,
+                     oy, dy, row, t_end)
+    # the cell entered at time t is the start cell moved by each axis's
+    # crossings up to t (a tie makes a cell of zero chord, a dropped sliver)
+    edges = np.concatenate([[0.0], np.sort(np.concatenate([t_x, t_y])),
+                            [t_end]])
+    chords = (edges[1:] - edges[:-1]) * seg_len
+    cols = col + (1 if dx > 0 else -1) * np.searchsorted(t_x, edges[:-1], "right")
+    rows = row + (1 if dy > 0 else -1) * np.searchsorted(t_y, edges[:-1], "right")
+    # a walk that steps off the grid stays off it; drop degenerate slivers
+    keep = ((cols >= 0) & (cols < geometry.n_cols) & (rows >= 0)
+            & (rows < geometry.n_rows) & (chords > 1e-12 * seg_len))
+    out = np.empty(np.count_nonzero(keep), CELL_CHORD)
+    out["cell"] = (rows * geometry.n_cols + cols)[keep]
+    out["chord"] = chords[keep]
     return out
+
+
+def _crossings(lo: float, res: float, n: int, o: float, d: float, cell: int,
+               t_end: float) -> np.ndarray:
+    """Times before ``t_end`` at which the ray ``o + t * d`` crosses a cell
+    boundary of one axis, from ``cell`` outward up to the crossing that
+    leaves the grid: the first crossing plus the per-cell step, summed in
+    order as an incremental walk adds them."""
+    if d > 0:
+        first = (lo + (cell + 1) * res - o) / d
+        n_left = n - cell
+    elif d < 0:
+        first = (lo + cell * res - o) / d
+        n_left = cell + 1
+    else:
+        return np.empty(0)
+    if not first < t_end:
+        return np.empty(0)
+    step = res / abs(d)
+    # one crossing more than reach t_end in exact arithmetic, for rounding
+    times = np.full(int(min(n_left, (t_end - first) / step + 2)), step)
+    times[0] = first
+    times = np.cumsum(times)
+    return times[times < t_end]
 
 
 def error_region_cells(geometry: GridGeometry, center: tuple[float, float],

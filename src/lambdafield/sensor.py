@@ -16,7 +16,9 @@ from .raycast import error_region_cells, trace_beam
 class Beam:
     """One lidar ray: origin, unit direction, measured range, hit flag.
 
-    A no-return beam carries measured_range == sensor max_range and hit=False.
+    A no-return beam carries measured_range == sensor max_range and hit=False,
+    so ``endpoint()`` is where every beam ends: at its return, or at the
+    sensor's maximum range.
     """
 
     origin: tuple[float, float]
@@ -51,7 +53,11 @@ class GroundTruthMap:
 
     def set_block(self, x0: float, y0: float, x1: float, y1: float,
                   value: float) -> None:
-        """Set the intensity of every cell whose center falls in the box."""
+        """Set the intensity of every cell whose center falls in the box.
+        Raises ValueError on a NaN corner, which would select no cell."""
+        if not value >= 0 or np.isnan([x0, y0, x1, y1]).any():
+            raise ValueError(f"block ({x0}, {y0}, {x1}, {y1}) value {value}: "
+                             f"need a value >= 0 and no NaN corner")
         geo = self.geometry
         cols, rows = np.meshgrid(np.arange(geo.n_cols), np.arange(geo.n_rows))
         cx = geo.origin_x + (cols + 0.5) * geo.resolution
@@ -68,26 +74,15 @@ def apply_beam(grid: LambdaGrid, beam: Beam, sensor: SensorModel) -> None:
     traversed and inside the disk counts as hit only (the per-beam cell sets
     are disjoint). No-return beams mark every traversed cell as missed.
     """
+    end = beam.endpoint()
+    cells = trace_beam(grid.geometry, beam.origin, end)["cell"]
     if beam.hit:
-        end = beam.endpoint()
         region = error_region_cells(grid.geometry, end, sensor.error_radius)
-        region_set = set(int(i) for i in region)
-        traversed = trace_beam(grid.geometry, beam.origin, end)
-        miss_cells = []
-        for idx, _ in traversed:
-            if idx in region_set:
-                break
-            miss_cells.append(idx)
-        if miss_cells:
-            grid.add_misses(np.asarray(miss_cells, dtype=np.int64))
-        if region.size:
-            grid.add_hits(region)
-    else:
-        end = (beam.origin[0] + beam.direction[0] * sensor.max_range,
-               beam.origin[1] + beam.direction[1] * sensor.max_range)
-        traversed = trace_beam(grid.geometry, beam.origin, end)
-        if traversed:
-            grid.add_misses(np.asarray([i for i, _ in traversed], dtype=np.int64))
+        in_region = (cells[:, None] == region).any(axis=1)
+        if in_region.any():
+            cells = cells[:np.argmax(in_region)]
+        grid.add_hits(region)
+    grid.add_misses(cells)
 
 
 def apply_scan(grid: LambdaGrid, beams: list[Beam], sensor: SensorModel) -> None:
@@ -110,6 +105,8 @@ def simulate_scan(truth: GroundTruthMap, pose: tuple[float, float, float],
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
     x, y, theta = pose
+    if not np.isfinite(pose).all():
+        raise ValueError(f"scan pose ({x}, {y}, {theta}) is not finite")
     if not truth.geometry.contains(x, y):
         raise ValueError(f"pose ({x}, {y}) outside map")
     beam_width = truth.geometry.resolution
@@ -120,35 +117,27 @@ def simulate_scan(truth: GroundTruthMap, pose: tuple[float, float, float],
         end = (x + direction[0] * sensor.max_range,
                y + direction[1] * sensor.max_range)
         traversed = trace_beam(truth.geometry, (x, y), end)
+        chords = traversed["chord"]
+        p_stop = -np.expm1(-chords * beam_width
+                           * truth.intensities[traversed["cell"]])
+        stops = np.flatnonzero(rng.random(len(chords)) < p_stop)
         true_range = None
-        if traversed:
-            idx = np.fromiter((i for i, _ in traversed), dtype=np.int64,
-                              count=len(traversed))
-            chords = np.fromiter((c for _, c in traversed), dtype=np.float64,
-                                 count=len(traversed))
-            p_stop = -np.expm1(-chords * beam_width * truth.intensities[idx])
-            u = rng.random(len(traversed))
-            stops = np.nonzero(u < p_stop)[0]
-            if stops.size:
-                first = int(stops[0])
-                dist_before = float(np.sum(chords[:first]))
-                true_range = dist_before + float(rng.random()) * float(chords[first])
-        ray_len = float(sum(c for _, c in traversed)) if traversed else 0.0
+        if stops.size:
+            first = int(stops[0])
+            dist_before = float(np.sum(chords[:first]))
+            true_range = dist_before + float(rng.random()) * float(chords[first])
+        # the clipped ray's length, its chords summed in order
+        ray_len = float(np.cumsum(chords)[-1]) if len(chords) else 0.0
 
+        measured, hit = sensor.max_range, False  # no return
         if rng.random() > sensor.p_hit:
             # spurious return (e.g. a raindrop) before any true obstacle
             upper = true_range if true_range is not None else ray_len
             rng_range = float(rng.random()) * upper if upper > 0 else 0.0
-            measured = max(rng_range, 1e-9)
-            beams.append(Beam((x, y), direction, measured, True))
-            continue
-        if true_range is not None:
-            if rng.random() > sensor.p_miss:
-                beams.append(Beam((x, y), direction, sensor.max_range, False))
-                continue
+            measured, hit = max(rng_range, 1e-9), True
+        elif true_range is not None and rng.random() <= sensor.p_miss:
             jitter = (2.0 * float(rng.random()) - 1.0) * sensor.error_radius
             measured = min(max(true_range + jitter, 1e-9), sensor.max_range)
-            beams.append(Beam((x, y), direction, measured, True))
-        else:
-            beams.append(Beam((x, y), direction, sensor.max_range, False))
+            hit = True
+        beams.append(Beam((x, y), direction, measured, hit))
     return beams

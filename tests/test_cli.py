@@ -232,6 +232,17 @@ BAD_INPUTS = [
      "map s.yaml", 2),
     ("simulate-scans: scan pose outside the grid", {"s.yaml": OFF_GRID_SCAN},
      "simulate-scans s.yaml", 2),
+    *((f"{command}: scan pose theta {theta}",
+       {"s.yaml": scenario(scan={"poses": [[1.0, 1.5, theta]]})},
+       f"{command} s.yaml", 2)
+      for command in ("map", "simulate-scans")
+      for theta in (math.nan, math.inf)),
+    ("map: ground-truth block value NaN",
+     {"s.yaml": scenario(ground_truth={"blocks": [
+         {"box": [2.5, 0.0, 3.0, 4.0], "value": math.nan}]})}, "map s.yaml", 2),
+    ("map: ground-truth block corner NaN",
+     {"s.yaml": scenario(ground_truth={"blocks": [
+         {"box": [2.5, math.nan, 3.0, 4.0], "value": 1.0}]})}, "map s.yaml", 2),
     ("plan: empty reference", {"s.yaml": scenario(), "ref.csv": path_text([])},
      "plan s.yaml ref.csv", 2),
     ("plan: reference starts outside the grid",
