@@ -1,6 +1,6 @@
 """Poisson-intensity occupancy fields with tessellation-invariant path risk."""
 
-from .bayes import BayesGrid, bayes_scan, bayes_update, naive_path_probability
+from .bayes import BayesGrid, bayes_scan, naive_path_probability
 from .field import (CellStats, ConfidenceInterval, LambdaGrid, SensorModel,
                     collision_probability, confidence_bounds, lambda_from_count,
                     lambda_mle)
@@ -11,16 +11,15 @@ from .path import (PathCrossing, RobotShape, collision_pdf, constant_velocity,
 from .planner import (PlannerConfig, TrajectoryCandidate, plan_step, run_episode,
                       sample_arcs)
 from .raycast import error_region_cells, trace_beam
-from .sensor import Beam, GroundTruthMap, apply_beam, apply_scan, simulate_scan
+from .sensor import Beam, GroundTruthMap, apply_scan, simulate_scan
 
 __all__ = [
     "BayesGrid", "Beam", "CellStats", "ConfidenceInterval", "GridGeometry",
     "GroundTruthMap", "LambdaGrid", "PathCrossing", "PlannerConfig",
-    "RobotShape", "SensorModel", "TrajectoryCandidate", "apply_beam",
-    "apply_scan", "bayes_scan", "bayes_update", "collision_pdf",
-    "collision_probability", "confidence_bounds", "constant_velocity",
-    "error_region_cells", "expected_risk", "lambda_from_count", "lambda_mle",
-    "momentum_risk", "naive_path_probability", "path_collision_probability",
-    "plan_step", "run_episode", "sample_arcs", "simulate_scan", "swept_cells",
-    "trace_beam",
+    "RobotShape", "SensorModel", "TrajectoryCandidate", "apply_scan",
+    "bayes_scan", "collision_pdf", "collision_probability",
+    "confidence_bounds", "constant_velocity", "error_region_cells",
+    "expected_risk", "lambda_from_count", "lambda_mle", "momentum_risk",
+    "naive_path_probability", "path_collision_probability", "plan_step",
+    "run_episode", "sample_arcs", "simulate_scan", "swept_cells", "trace_beam",
 ]

@@ -13,7 +13,7 @@ import numpy as np
 from .field import SensorModel
 from .geometry import GridGeometry
 from .raycast import trace_beam
-from .sensor import Beam
+from .sensor import Beam, beam_arrays
 
 DEFAULT_LOG_ODDS_CLAMP = 10.0
 
@@ -49,25 +49,24 @@ class BayesGrid:
                                          self.log_odds_clamp)
 
 
-def bayes_update(grid: BayesGrid, beam: Beam, sensor: SensorModel) -> None:
-    """Standard log-odds update: traversed cells toward free, endpoint toward
-    occupied (hit beams only). The beam ends at ``beam.endpoint()``; the
-    ``sensor`` is not read."""
-    end = beam.endpoint()
-    cells = trace_beam(grid.geometry, beam.origin, end)["cell"]
-    if not len(cells):
-        return
-    if beam.hit and grid.geometry.contains(*end):
-        occupied = grid.geometry.flat(*grid.geometry.cell_of(*end))
-        grid._bump(cells[cells != occupied], grid.l_free)
-        grid._bump(np.asarray([occupied]), grid.l_occ)
-    else:
-        grid._bump(cells, grid.l_free)
-
-
 def bayes_scan(grid: BayesGrid, beams: list[Beam], sensor: SensorModel) -> None:
-    for beam in beams:
-        bayes_update(grid, beam, sensor)
+    """Standard log-odds update, beam by beam in scan order: traversed cells
+    toward free, then the cell holding a hit beam's endpoint toward occupied,
+    each step clipped to the clamp; a beam that crosses no cell changes
+    nothing. Beams end at ``beam.endpoint()`` and are traced in one call,
+    whose row count sets how many are folded in. The ``sensor`` is not read."""
+    geo = grid.geometry
+    origins, ends, hit = beam_arrays(beams)
+    occupied = np.full(len(ends), -1)
+    on_grid = hit & geo.contains(ends[:, 0], ends[:, 1])
+    cols, rows = geo.cell_of(ends[on_grid, 0], ends[on_grid, 1])
+    occupied[on_grid] = rows * geo.n_cols + cols
+    for cells, occ in zip(trace_beam(geo, origins, ends)["cell"], occupied):
+        cells = cells[cells >= 0]
+        if len(cells):
+            grid._bump(cells[cells != occ], grid.l_free)
+            if occ >= 0:
+                grid._bump(np.array([occ]), grid.l_occ)
 
 
 def naive_path_probability(grid: BayesGrid, cells) -> float:

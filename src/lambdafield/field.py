@@ -160,6 +160,13 @@ def collision_probability(integrated: float) -> float:
     return -math.expm1(-integrated)
 
 
+def _add_counts(counts: np.ndarray, indices: np.ndarray) -> None:
+    """One count per occurrence of each flat index, saturating at COUNT_MAX."""
+    occurrences = np.bincount(np.asarray(indices, dtype=np.int64))
+    cells = np.flatnonzero(occurrences)
+    counts[cells] = np.minimum(counts[cells] + occurrences[cells], COUNT_MAX)
+
+
 class LambdaGrid:
     """Dense grid of hit/miss counts with derived intensity maps."""
 
@@ -174,14 +181,10 @@ class LambdaGrid:
         self.misses = np.zeros(geometry.n_cells, dtype=np.uint32)
 
     def add_hits(self, indices: np.ndarray) -> None:
-        idx = np.asarray(indices, dtype=np.int64)
-        keep = self.hits[idx] < COUNT_MAX  # saturate, never wrap
-        self.hits[idx[keep]] += 1
+        _add_counts(self.hits, indices)
 
     def add_misses(self, indices: np.ndarray) -> None:
-        idx = np.asarray(indices, dtype=np.int64)
-        keep = self.misses[idx] < COUNT_MAX
-        self.misses[idx[keep]] += 1
+        _add_counts(self.misses, indices)
 
     def stats(self, index: int) -> CellStats:
         return CellStats(int(self.hits[index]), int(self.misses[index]))

@@ -44,19 +44,19 @@ class GridGeometry:
     def height(self) -> float:
         return self.n_rows * self.resolution
 
-    def contains(self, x: float, y: float) -> bool:
-        """True if the world point lies inside the grid (lower edges inclusive)."""
-        return (self.origin_x <= x < self.origin_x + self.width
-                and self.origin_y <= y < self.origin_y + self.height)
+    def contains(self, x, y):
+        """True where the world point(s) lie inside the grid (lower edges inclusive)."""
+        return ((self.origin_x <= x) & (x < self.origin_x + self.width)
+                & (self.origin_y <= y) & (y < self.origin_y + self.height))
 
-    def cell_of(self, x: float, y: float) -> tuple[int, int]:
-        """(col, row) of the cell containing the world point."""
-        if not self.contains(x, y):
+    def cell_of(self, x, y):
+        """(col, row) of the cell holding each world point; raises if one is outside."""
+        if not np.all(self.contains(x, y)):
             raise ValueError(f"point ({x}, {y}) outside grid")
-        col = int((x - self.origin_x) / self.resolution)
-        row = int((y - self.origin_y) / self.resolution)
+        col = np.int64((x - self.origin_x) / self.resolution)
+        row = np.int64((y - self.origin_y) / self.resolution)
         # guard against floating-point landing exactly on the upper boundary
-        return min(col, self.n_cols - 1), min(row, self.n_rows - 1)
+        return np.minimum(col, self.n_cols - 1), np.minimum(row, self.n_rows - 1)
 
     def cell_center(self, col: int, row: int) -> tuple[float, float]:
         return (self.origin_x + (col + 0.5) * self.resolution,

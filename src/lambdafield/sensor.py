@@ -9,7 +9,7 @@ import numpy as np
 
 from .field import LambdaGrid, SensorModel
 from .geometry import GridGeometry
-from .raycast import error_region_cells, trace_beam
+from .raycast import centre_in_disk, error_region_cells, trace_beam
 
 
 @dataclass(frozen=True)
@@ -59,35 +59,38 @@ class GroundTruthMap:
             raise ValueError(f"block ({x0}, {y0}, {x1}, {y1}) value {value}: "
                              f"need a value >= 0 and no NaN corner")
         geo = self.geometry
-        cols, rows = np.meshgrid(np.arange(geo.n_cols), np.arange(geo.n_rows))
-        cx = geo.origin_x + (cols + 0.5) * geo.resolution
-        cy = geo.origin_y + (rows + 0.5) * geo.resolution
-        inside = (cx >= x0) & (cx <= x1) & (cy >= y0) & (cy <= y1)
-        self.intensities[(rows[inside] * geo.n_cols + cols[inside])] = value
+        cx = geo.origin_x + (np.arange(geo.n_cols) + 0.5) * geo.resolution
+        cy = geo.origin_y + (np.arange(geo.n_rows) + 0.5) * geo.resolution
+        cols = np.flatnonzero((cx >= x0) & (cx <= x1))
+        rows = np.flatnonzero((cy >= y0) & (cy <= y1))
+        self.intensities[(rows[:, None] * geo.n_cols + cols).ravel()] = value
 
 
-def apply_beam(grid: LambdaGrid, beam: Beam, sensor: SensorModel) -> None:
-    """Fold one beam into the counts.
-
-    Hit beams: cells traversed strictly before the error disk get a miss;
-    every cell whose center is inside the disk gets a hit. A cell both
-    traversed and inside the disk counts as hit only (the per-beam cell sets
-    are disjoint). No-return beams mark every traversed cell as missed.
-    """
-    end = beam.endpoint()
-    cells = trace_beam(grid.geometry, beam.origin, end)["cell"]
-    if beam.hit:
-        region = error_region_cells(grid.geometry, end, sensor.error_radius)
-        in_region = (cells[:, None] == region).any(axis=1)
-        if in_region.any():
-            cells = cells[:np.argmax(in_region)]
-        grid.add_hits(region)
-    grid.add_misses(cells)
+def beam_arrays(beams: list[Beam]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(origins, endpoints, hit flags) of the beams: (n, 2), (n, 2), (n,) arrays."""
+    origins = np.array([b.origin for b in beams], np.float64).reshape(-1, 2)
+    ends = np.array([b.endpoint() for b in beams], np.float64).reshape(-1, 2)
+    return origins, ends, np.array([b.hit for b in beams], bool)
 
 
 def apply_scan(grid: LambdaGrid, beams: list[Beam], sensor: SensorModel) -> None:
-    for beam in beams:
-        apply_beam(grid, beam, sensor)
+    """Fold a scan's beams into the counts, tracing all of them in one call.
+
+    Hit beams: cells traversed strictly before the first traversed cell whose
+    center is in the error disk get a miss; every cell whose center is
+    inside the disk gets a hit. A cell both traversed and inside the disk
+    counts as hit only. No-return beams mark every traversed cell as missed.
+    Each beam adds one count per cell, so the result equals folding the beams
+    in one at a time; the traced row count sets how many are folded in.
+    """
+    geo, radius = grid.geometry, sensor.error_radius
+    origins, ends, hit = beam_arrays(beams)
+    cells = trace_beam(geo, origins, ends)["cell"]
+    ends, hit = ends[:len(cells)], hit[:len(cells)]
+    regions = [error_region_cells(geo, end, radius) for end in ends[hit]]
+    disk = hit[:, None] & centre_in_disk(geo, cells, ends[:, :1], ends[:, 1:], radius)
+    grid.add_hits(np.concatenate([np.empty(0, np.int64), *regions]))
+    grid.add_misses(cells[(cells >= 0) & (np.cumsum(disk, axis=1) == 0)])
 
 
 def simulate_scan(truth: GroundTruthMap, pose: tuple[float, float, float],
@@ -100,7 +103,8 @@ def simulate_scan(truth: GroundTruthMap, pose: tuple[float, float, float],
     grid resolution. Noise: with probability 1 - p_hit a spurious early
     return is injected uniformly along the ray; with probability 1 - p_miss a
     true return is dropped; reported ranges are perturbed uniformly within
-    the error disk radius. Deterministic for a fixed seed.
+    the error disk radius. All beams are traced in one call, and each beam's
+    draws are made in beam order, so the output is deterministic for a seed.
     """
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
@@ -110,16 +114,15 @@ def simulate_scan(truth: GroundTruthMap, pose: tuple[float, float, float],
     if not truth.geometry.contains(x, y):
         raise ValueError(f"pose ({x}, {y}) outside map")
     beam_width = truth.geometry.resolution
+    angles = [theta + 2.0 * math.pi * k / beam_count for k in range(beam_count)]
+    directions = [(math.cos(angle), math.sin(angle)) for angle in angles]
+    ends = [(x + c * sensor.max_range, y + s * sensor.max_range) for c, s in directions]
+    traced = trace_beam(truth.geometry, (x, y), ends)
     beams: list[Beam] = []
-    for k in range(beam_count):
-        angle = theta + 2.0 * math.pi * k / beam_count
-        direction = (math.cos(angle), math.sin(angle))
-        end = (x + direction[0] * sensor.max_range,
-               y + direction[1] * sensor.max_range)
-        traversed = trace_beam(truth.geometry, (x, y), end)
+    for direction, traversed in zip(directions, traced):
+        traversed = traversed[traversed["cell"] >= 0]
         chords = traversed["chord"]
-        p_stop = -np.expm1(-chords * beam_width
-                           * truth.intensities[traversed["cell"]])
+        p_stop = -np.expm1(-chords * beam_width * truth.intensities[traversed["cell"]])
         stops = np.flatnonzero(rng.random(len(chords)) < p_stop)
         true_range = None
         if stops.size:

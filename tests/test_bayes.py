@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from lambdafield import (Beam, BayesGrid, bayes_update,
-                         naive_path_probability)
+from lambdafield import Beam, BayesGrid, bayes_scan, naive_path_probability
 from lambdafield.bayes import naive_probability_from_occupancy
 
 
@@ -13,7 +12,7 @@ def hit_beam(x, y, distance):
 class TestBayesUpdate:
     def test_single_hit_from_prior(self, geometry, sensor):
         grid = BayesGrid(geometry, p_occ_given_hit=0.7)
-        bayes_update(grid, hit_beam(1.05, 2.05, 1.0), sensor)
+        bayes_scan(grid, [hit_beam(1.05, 2.05, 1.0)], sensor)
         occupied = geometry.flat(*geometry.cell_of(2.05, 2.05))
         assert grid.occupancy()[occupied] == pytest.approx(0.7, abs=1e-12)
 
@@ -21,22 +20,22 @@ class TestBayesUpdate:
         grid = BayesGrid(geometry, p_occ_given_hit=0.7, p_free_given_miss=0.7)
         target = geometry.flat(*geometry.cell_of(2.05, 2.05))
         for _ in range(5):
-            bayes_update(grid, hit_beam(1.95, 2.05, 0.1), sensor)
+            bayes_scan(grid, [hit_beam(1.95, 2.05, 0.1)], sensor)
         # five misses through the same cell from a beam ending past it
         for _ in range(5):
-            bayes_update(grid, Beam((1.95, 2.05), (1.0, 0.0), 1.0, True), sensor)
+            bayes_scan(grid, [Beam((1.95, 2.05), (1.0, 0.0), 1.0, True)], sensor)
         assert grid.occupancy()[target] == pytest.approx(0.5, abs=1e-12)
 
     def test_traversed_cells_go_toward_free(self, geometry, sensor):
         grid = BayesGrid(geometry)
-        bayes_update(grid, hit_beam(0.05, 2.05, 2.0), sensor)
+        bayes_scan(grid, [hit_beam(0.05, 2.05, 2.0)], sensor)
         free_cell = geometry.flat(5, 20)
         assert grid.occupancy()[free_cell] < 0.5
 
     def test_log_odds_clamped(self, geometry, sensor):
         grid = BayesGrid(geometry, log_odds_clamp=2.0)
         for _ in range(50):
-            bayes_update(grid, hit_beam(1.05, 2.05, 1.0), sensor)
+            bayes_scan(grid, [hit_beam(1.05, 2.05, 1.0)], sensor)
         assert np.abs(grid.log_odds).max() <= 2.0
         assert (0 < grid.occupancy()).all() and (grid.occupancy() < 1).all()
 

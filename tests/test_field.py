@@ -188,3 +188,15 @@ class TestLambdaGrid:
         grid.hits[0] = np.iinfo(np.uint32).max
         grid.add_hits(np.array([0]))
         assert grid.hits[0] == np.iinfo(np.uint32).max
+
+    @pytest.mark.parametrize("add", ["add_hits", "add_misses"])
+    def test_repeated_index_counts_each_occurrence(self, geometry, sensor, add):
+        grid = LambdaGrid(geometry, sensor)
+        counts = grid.hits if add == "add_hits" else grid.misses
+        counts[[3, 7]] = COUNT_MAX - 1
+        getattr(grid, add)(np.array([5, 3, 5, 7, 5, 3]))
+        assert counts[5] == 3
+        assert counts[3] == COUNT_MAX and counts[7] == COUNT_MAX
+        assert counts.sum() == 3 + 2 * COUNT_MAX
+        getattr(grid, add)(np.array([], dtype=np.int64))
+        assert counts.sum() == 3 + 2 * COUNT_MAX

@@ -101,7 +101,7 @@ def test_constant_risk_monotone_in_bound(lams, ars, r_const):
        st.floats(0.05, 3.95), st.floats(0.05, 3.95))
 def test_trace_chords_sum_to_length(ox, oy, ex, ey):
     geo = GridGeometry(0.0, 0.0, 0.1, 40, 40)
-    cells = trace_beam(geo, (ox, oy), (ex, ey))
+    cells, = trace_beam(geo, (ox, oy), (ex, ey))
     total = sum(c for _, c in cells)
     assert all(c >= 0.0 for _, c in cells)
     assert abs(total - math.hypot(ex - ox, ey - oy)) < 1e-9

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from lambdafield import (Beam, GroundTruthMap, LambdaGrid, SensorModel,
-                         apply_beam, apply_scan, lambda_mle, simulate_scan)
+from lambdafield import (Beam, GridGeometry, GroundTruthMap, LambdaGrid,
+                         SensorModel, apply_scan, lambda_mle, simulate_scan)
 
 
 def make_hit_beam(distance, origin=(0.05, 2.05)):
@@ -15,7 +15,7 @@ class TestApplyBeam:
     def test_hit_beam_cell_partition(self, grid, sensor):
         # endpoint at a cell center: disk of radius ~0.1128 covers 5 cells,
         # misses stop strictly before the first disk cell on the ray
-        apply_beam(grid, make_hit_beam(2.0), sensor)
+        apply_scan(grid, [make_hit_beam(2.0)], sensor)
         assert int(grid.hits.sum()) == 5
         assert int(grid.misses.sum()) == 19
         hit_cells = np.nonzero(grid.hits)[0]
@@ -33,17 +33,18 @@ class TestApplyBeam:
             region = set(error_region_cells(grid.geometry, beam.endpoint(),
                                             sensor.error_radius))
             misses = 0
-            for idx, _ in trace_beam(grid.geometry, beam.origin, beam.endpoint()):
+            row, = trace_beam(grid.geometry, beam.origin, beam.endpoint())
+            for idx, _ in row:
                 if idx in region:
                     break
                 misses += 1
-            apply_beam(grid, beam, sensor)
+            apply_scan(grid, [beam], sensor)
             after = int(grid.hits.sum()) + int(grid.misses.sum())
             assert after - before == misses + len(region)
 
     def test_no_return_marks_all_traversed_missed(self, grid, sensor):
         beam = Beam((0.05, 2.05), (1.0, 0.0), sensor.max_range, False)
-        apply_beam(grid, beam, sensor)
+        apply_scan(grid, [beam], sensor)
         assert int(grid.hits.sum()) == 0
         # ray clipped at the grid border: 40 cells crossed
         assert int(grid.misses.sum()) == 40
@@ -51,7 +52,7 @@ class TestApplyBeam:
     def test_replayed_hits_match_closed_form(self, grid, sensor):
         n = 25
         for _ in range(n):
-            apply_beam(grid, make_hit_beam(2.0), sensor)
+            apply_scan(grid, [make_hit_beam(2.0)], sensor)
         geo = grid.geometry
         center = geo.flat(*geo.cell_of(2.05, 2.05))
         stats = grid.stats(center)
@@ -106,3 +107,25 @@ class TestGroundTruthMap:
         marked = np.nonzero(truth.intensities)[0]
         assert len(marked) == 4  # centers at 1.05 and 1.15 on both axes
         assert all(truth.intensities[marked] == 7.0)
+
+    def test_set_block_equals_whole_grid_mask(self, rng):
+        geo = GridGeometry(-0.3, 0.2, 0.1, 23, 17)
+        lo = np.array([geo.origin_x, geo.origin_y])
+        size = np.array([geo.width, geo.height])
+        centres = [(geo.origin_x + (i % geo.n_cols + 0.5) * geo.resolution,
+                    geo.origin_y + (i // geo.n_cols + 0.5) * geo.resolution)
+                   for i in range(geo.n_cells)]
+        cx, cy = np.array(centres).T
+        boxes = [tuple(lo + rng.uniform(-0.5, 1.5, 2) * size)
+                 + tuple(lo + rng.uniform(-0.5, 1.5, 2) * size)
+                 for _ in range(150)]                    # some inverted
+        boxes += [tuple(np.array(centres)[rng.integers(geo.n_cells, size=2)]
+                        .ravel()) for _ in range(100)]   # corners on centres
+        boxes += [(-math.inf, -math.inf, math.inf, math.inf),
+                  (-5.0, -5.0, -1.0, 9.0), (5.0, 0.0, math.inf, 1.0),
+                  (0.15, 0.0, 0.15, 9.0), (-9.0, 0.75, 9.0, 0.75)]
+        for x0, y0, x1, y1 in boxes:
+            truth = GroundTruthMap.uniform(geo, 0.0)
+            truth.set_block(x0, y0, x1, y1, 2.0)
+            inside = (cx >= x0) & (cx <= x1) & (cy >= y0) & (cy <= y1)
+            assert np.array_equal(truth.intensities == 2.0, inside), (x0, y0)
