@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -17,26 +19,34 @@ from .sensor import Beam, GroundTruthMap
 LAMBDA_DUMP_MAGIC = "lambda-field-grid"
 BAYES_DUMP_MAGIC = "bayes-grid"
 DUMP_VERSION = 1
-# Rows that ``_write_table`` converts at a time, so no whole-grid list is built
+# Rows that tables are written and dumps read at a time: no whole-grid lists
 TABLE_BLOCK_ROWS = 4096
 
 
 def _write_table(path: str | Path, head: list, columns: list,
-                 **fmtparams) -> None:
-    """Writes the ``head`` rows, then row i of the equal-length ``columns``
-    for each i, through ``csv.writer(fh, **fmtparams)``. A column is an array,
-    a list, or a function from row numbers to the column's values there.
-    ``tolist()`` converts them a block of rows at a time, so each float is
-    written as the shortest ``repr`` that reads back to the same double."""
+                 delimiter: str = ",", lineterminator: str = "\r\n") -> None:
+    """Writes the ``head`` rows through ``csv.writer``, then row i of the
+    equal-length ``columns`` for each i, ``TABLE_BLOCK_ROWS`` rows at a time.
+    A column is an array, a list, or a function from row numbers to the
+    column's values there (or to an array of several columns' values). Each
+    distinct bit pattern of a block's column is formatted once, by ``repr``,
+    and numbers are never quoted (no ``repr`` of one needs it)."""
     n_rows = len(next(c for c in columns if not callable(c)))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, **fmtparams)
-        writer.writerows(head)
+        csv.writer(fh, delimiter=delimiter,
+                   lineterminator=lineterminator).writerows(head)
         for start in range(0, n_rows, TABLE_BLOCK_ROWS):
             stop = min(start + TABLE_BLOCK_ROWS, n_rows)
-            block = [np.asarray(c(np.arange(start, stop)) if callable(c)
-                                else c[start:stop]).tolist() for c in columns]
-            writer.writerows(zip(*block))
+            block = [col for c in columns for col in np.atleast_2d(
+                c(np.arange(start, stop)) if callable(c) else c[start:stop])]
+            ends = [delimiter] * (len(block) - 1) + [lineterminator]
+            text = []
+            for col, end in zip(block, ends):  # -0.0 and 0.0 stay apart
+                keys, inverse = np.unique(col.view(f"u{col.itemsize}"),
+                                          return_inverse=True)
+                text.append(np.array([repr(v) + end for v in keys.view(
+                    col.dtype).tolist()], dtype=object)[inverse])
+            fh.write("".join(np.stack(text, 1).ravel().tolist()))
 
 
 def save_lambda_grid(grid: LambdaGrid, path: str | Path) -> None:
@@ -50,17 +60,16 @@ def save_lambda_grid(grid: LambdaGrid, path: str | Path) -> None:
 
 
 def load_lambda_grid(path: str | Path) -> LambdaGrid:
-    geo, header, body = _read_dump(path, LAMBDA_DUMP_MAGIC,
-                                   {"lambda_max": 1, "sensor": 4}, "counts")
+    dump = _read_dump(path, LAMBDA_DUMP_MAGIC, {"lambda_max": 1, "sensor": 4},
+                      "counts", np.int64, 2)
+    geo, header = next(dump)
     grid = LambdaGrid(geo, SensorModel(*header["sensor"]),
                       lambda_max=header["lambda_max"][0])
-    counts = np.loadtxt(body, dtype=np.int64, ndmin=2)
-    if (counts.shape != (geo.n_cells, 2) or counts.min() < 0
-            or counts.max() > COUNT_MAX):
-        raise ValueError(f"{path}: counts must be pairs of integers "
-                         f"in [0, {COUNT_MAX}]")
-    grid.hits = counts[:, 0].astype(np.uint32)
-    grid.misses = counts[:, 1].astype(np.uint32)
+    for rows, counts in dump:
+        if counts.min() < 0 or counts.max() > COUNT_MAX:
+            raise ValueError(f"{path}: counts must be pairs of integers "
+                             f"in [0, {COUNT_MAX}]")
+        grid.hits[rows], grid.misses[rows] = counts.T
     return grid
 
 
@@ -72,13 +81,15 @@ def save_bayes_grid(grid: BayesGrid, path: str | Path) -> None:
 
 
 def load_bayes_grid(path: str | Path) -> BayesGrid:
-    geo, header, body = _read_dump(path, BAYES_DUMP_MAGIC,
-                                   {"clamp": 1, "updates": 2}, "logodds")
+    dump = _read_dump(path, BAYES_DUMP_MAGIC, {"clamp": 1, "updates": 2},
+                      "logodds", np.float64, 1)
+    geo, header = next(dump)
     grid = BayesGrid(geo, log_odds_clamp=header["clamp"][0])
     grid.l_occ, grid.l_free = header["updates"]
-    grid.log_odds = np.array(body, dtype=np.float64)
-    if not np.isfinite(grid.log_odds).all():
-        raise ValueError(f"{path}: log-odds must be finite")
+    for rows, log_odds in dump:
+        if not np.isfinite(log_odds).all():
+            raise ValueError(f"{path}: log-odds must be finite")
+        grid.log_odds[rows] = log_odds[:, 0]
     return grid
 
 
@@ -95,43 +106,53 @@ def _write_dump(path: str | Path, magic: str, geo: GridGeometry,
 
 
 def _read_dump(path: str | Path, magic: str, arity: dict[str, int],
-               marker: str) -> tuple[GridGeometry, dict[str, list[float]],
-                                     list[str]]:
-    """Inverse of ``_write_dump``: (geometry, header values by key, body
-    lines). ``arity`` gives the number of values of each key after the
-    geometry. Raises ValueError on a wrong magic or version, a missing or
-    malformed header key, or a body that is not one line per cell."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0].split() != [magic, str(DUMP_VERSION)]:
-        raise ValueError(f"not a {magic} dump: {path}")
-    end = lines.index(marker)  # ValueError when there is no body marker
-    header = {}
-    for line in lines[1:end]:
-        key, *vals = line.split()
-        header[key] = [float(v) for v in vals]
-    arity = {"origin": 2, "resolution": 1, "size": 2, **arity}
-    for key, n in arity.items():
-        if len(header.get(key, ())) != n:
-            raise ValueError(f"{path}: header needs {key!r} with {n} value(s)")
-    cols, rows = header["size"]
-    if not (cols.is_integer() and rows.is_integer()):
-        raise ValueError(f"{path}: grid size must be integers")
-    geo = GridGeometry(*header["origin"], header["resolution"][0],
-                       int(cols), int(rows))
-    body = lines[end + 1:]
-    if len(body) != geo.n_cells:
-        raise ValueError(f"{path}: {len(body)} body rows for {geo.n_cells} cells")
-    return geo, header, body
+               marker: str, dtype, width: int) -> Iterator[tuple]:
+    """Inverse of ``_write_dump``, streamed: yields (geometry, header values
+    by key), then (rows, values) for each block of body lines, ``values`` a
+    (lines, ``width``) array of ``dtype``. ``arity`` gives the number of
+    values of each key after the geometry. Raises ValueError on a wrong magic
+    or version, a malformed header, a body that is not one line per cell, or
+    a file too short for that body (before yielding, so no grid is made)."""
+    with open(path) as fh:
+        if fh.readline().split() != [magic, str(DUMP_VERSION)]:
+            raise ValueError(f"not a {magic} dump: {path}")
+        head = itertools.takewhile(lambda line: line.rstrip("\n") != marker, fh)
+        header = {key: [float(v) for v in vals]
+                  for key, *vals in map(str.split, head)}
+        arity = {"origin": 2, "resolution": 1, "size": 2, **arity}
+        for key, n in arity.items():
+            if len(header.get(key, ())) != n:
+                raise ValueError(f"{path}: header needs {key!r} with {n} value(s)")
+        cols, rows = header["size"]
+        if not (cols.is_integer() and rows.is_integer()):
+            raise ValueError(f"{path}: grid size must be integers")
+        geo = GridGeometry(*header["origin"], header["resolution"][0],
+                           int(cols), int(rows))
+        error = ValueError(f"{path}: body is not {geo.n_cells} x {width} values")
+        if 2 * geo.n_cells > Path(path).stat().st_size:  # 2 bytes a row at least
+            raise error
+        yield geo, header
+        for start in range(0, geo.n_cells, TABLE_BLOCK_ROWS):
+            rows = slice(start, min(start + TABLE_BLOCK_ROWS, geo.n_cells))
+            lines = itertools.islice(fh, rows.stop - start)
+            if not (first := next(lines, "")):  # loadtxt warns on no lines
+                raise error
+            values = np.loadtxt(itertools.chain([first], lines), dtype=dtype,
+                                ndmin=2, comments=None)
+            if values.shape != (rows.stop - start, width):
+                raise error
+            yield rows, values
+        if fh.readline():
+            raise error
 
 
 def export_lambda_csv(grid: LambdaGrid, path: str | Path) -> None:
     """col,row,h,m,lambda,lambda_low,lambda_high for every cell; the
-    intensities are computed a block of rows at a time."""
+    intensities and both bounds are computed once per block of rows."""
     _write_table(path, [("col", "row", "h", "m", "lambda", "lambda_low",
                          "lambda_high")],
                  [*_col_row(grid.geometry), grid.hits, grid.misses,
-                  grid.lambda_map, lambda i: grid.bound_maps(i)[0],
-                  lambda i: grid.bound_maps(i)[1]])
+                  grid.lambda_map, grid.bound_maps])
 
 
 def export_bayes_csv(grid: BayesGrid, path: str | Path) -> None:

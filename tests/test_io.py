@@ -1,6 +1,7 @@
 import csv
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -428,18 +429,208 @@ class TestWritersMatchOracles:
 
 
 @pytest.mark.parametrize("save", [lfio.save_lambda_grid, lfio.save_bayes_grid,
-                                  lfio.export_lambda_csv])
+                                  lfio.export_lambda_csv,
+                                  lfio.export_bayes_csv])
 def test_dump_writer_memory_stays_flat(save, tmp_path):
     """A 400 x 400 dump is written without a whole-grid list of rows or
     strings (about 12 and 19 MB when each cell was a string), and the
     intensity CSV without whole-grid intensity maps (15.4 MB when it
-    computed them up front)."""
+    computed them up front). The occupancy CSV takes ``occupancy()`` of the
+    whole grid, which peaks at 2.56 MB by itself."""
     grid, bayes = _random_grids(400, 400, 4)
-    target = bayes if save is lfio.save_bayes_grid else grid
+    target = bayes if save in (lfio.save_bayes_grid,
+                               lfio.export_bayes_csv) else grid
     tracemalloc.start()
     try:
         save(target, tmp_path / "grid.dump")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < (3e6 if save is lfio.export_lambda_csv else 2e6), peak
+    assert peak < (3e6 if save is lfio.export_bayes_csv else 2e6), peak
+
+
+@pytest.mark.parametrize("kind", ["lambda", "bayes"])
+def test_dump_loader_memory_stays_flat(kind, tmp_path):
+    """A 400 x 400 dump is parsed a block of lines at a time straight into
+    the grid's arrays (1.28 MB); reading every line into a list first
+    peaked at 14 MB."""
+    grid, bayes = _random_grids(400, 400, 5)
+    save, load = {"lambda": (lfio.save_lambda_grid, lfio.load_lambda_grid),
+                  "bayes": (lfio.save_bayes_grid, lfio.load_bayes_grid)}[kind]
+    save(grid if kind == "lambda" else bayes, tmp_path / "grid.dump")
+    tracemalloc.start()
+    try:
+        loaded = load(tmp_path / "grid.dump")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6, peak
+    if kind == "lambda":
+        np.testing.assert_array_equal(loaded.hits, grid.hits)
+        np.testing.assert_array_equal(loaded.misses, grid.misses)
+    else:
+        np.testing.assert_array_equal(loaded.log_odds.view(np.uint64),
+                                      bayes.log_odds.view(np.uint64))
+
+
+class TestStreamedDumpBody:
+    def test_size_beyond_the_file_allocates_no_grid(self, populated_grid,
+                                                    tmp_path):
+        """A corrupt size fails before a grid of that size is allocated
+        (8 MB of counts for 1000 x 1000 cells)."""
+        f = tmp_path / "grid.dump"
+        lfio.save_lambda_grid(populated_grid, f)
+        f.write_text(f.read_text().replace("size 12 9\n", "size 1000 1000\n"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                lfio.load_lambda_grid(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, peak
+
+    @pytest.mark.parametrize("kind,marker,row", [("lambda", "counts", "1 2 #"),
+                                                 ("bayes", "logodds", "0.5 #")])
+    def test_comment_in_body_rejected(self, kind, marker, row, populated_grid,
+                                      tmp_path):
+        """A dump body holds numbers only; a ``#`` is not a comment there."""
+        f = tmp_path / "grid.dump"
+        if kind == "lambda":
+            lfio.save_lambda_grid(populated_grid, f)
+        else:
+            lfio.save_bayes_grid(BayesGrid(populated_grid.geometry), f)
+        f.write_text(_with_first_row(f.read_text(), marker, row))
+        load = lfio.load_lambda_grid if kind == "lambda" else lfio.load_bayes_grid
+        with pytest.raises(ValueError):
+            load(f)
+
+    @pytest.mark.parametrize("rows", [0, lfio.TABLE_BLOCK_ROWS])
+    def test_body_ending_at_a_block_start_fails_without_warning(self, rows,
+                                                                tmp_path):
+        """A body cut where a block of lines starts raises ValueError, and
+        no 'input contained no data' warning from the parser."""
+        _, bayes = _random_grids(70, 61, 6)
+        f = tmp_path / "bayes.dump"
+        lfio.save_bayes_grid(bayes, f)
+        head, body = f.read_text().split("\nlogodds\n")
+        f.write_text(head + "\nlogodds\n"
+                     + "".join(body.splitlines(keepends=True)[:rows]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="body is not"):
+                lfio.load_bayes_grid(f)
+
+
+def _oracle_write_table(path, head, columns, **fmtparams):
+    """``io._write_table`` as it was before it formatted each distinct value
+    once: ``csv.writer`` on the ``tolist()`` values of each block."""
+    n_rows = len(next(c for c in columns if not callable(c)))
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, **fmtparams)
+        writer.writerows(head)
+        for start in range(0, n_rows, lfio.TABLE_BLOCK_ROWS):
+            stop = min(start + lfio.TABLE_BLOCK_ROWS, n_rows)
+            block = [np.asarray(c(np.arange(start, stop)) if callable(c)
+                                else c[start:stop]).tolist() for c in columns]
+            writer.writerows(zip(*block))
+
+
+def _float(bits: int) -> float:
+    return float(np.uint64(bits).view(np.float64))
+
+
+# Signed zeros and NaNs (equal or unordered as values), infinities, subnormals
+# and 1-ulp neighbours: what a writer keyed on anything but the bits mixes up
+SPECIAL_FLOATS = [0.0, -0.0, math.nan, -math.nan, _float(0x7FF8000000000001),
+                  _float(0xFFF0000000000001), math.inf, -math.inf, 5e-324,
+                  -5e-324, 1e-310, 2.2250738585072014e-308, 1.0,
+                  1.0000000000000002, 0.1, 0.30000000000000004, 1e300]
+INT64_EXTREMES = [-2 ** 63, 2 ** 63 - 1, -1, 0, 1]
+
+
+@st.composite
+def table_columns(draw):
+    """Equal-length columns of the kinds the package writes: float64,
+    uint32 and int64 arrays, Python lists of floats, ints or both, and a
+    function of the row numbers, each drawn from a small pool of values."""
+    n_rows = draw(st.sampled_from([0, 1, lfio.TABLE_BLOCK_ROWS,
+                                   lfio.TABLE_BLOCK_ROWS + 1]))
+    drawn = draw(st.lists(st.floats(), max_size=6))
+    floats = np.array(SPECIAL_FLOATS + drawn
+                      + [math.nextafter(x, math.inf) for x in drawn])
+    counts = np.array([0, 1, COUNT_MAX - 1, COUNT_MAX]
+                      + draw(st.lists(st.integers(0, COUNT_MAX), max_size=6)),
+                      dtype=np.uint32)
+    ints = np.array(INT64_EXTREMES + draw(st.lists(
+        st.integers(-2 ** 63, 2 ** 63 - 1), max_size=6)), dtype=np.int64)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pick = lambda pool: pool[rng.integers(0, len(pool), n_rows)]
+    kinds = {
+        "float64": lambda: pick(floats),
+        "uint32": lambda: pick(counts),
+        "int64": lambda: pick(ints),
+        "float list": lambda: pick(floats).tolist(),
+        "int list": lambda: pick(ints).tolist(),
+        "mixed list": lambda: [int(v) if rng.random() < 0.5 else float(v)
+                               for v in pick(counts).tolist()],
+        "function": lambda: (lambda i: floats[i % len(floats)]),
+    }
+    names = draw(st.lists(st.sampled_from(sorted(kinds)), min_size=1,
+                          max_size=5))
+    return [kinds[name]() for name in ["float64", *names]]
+
+
+class TestWriteTableMatchesCsvWriter:
+    """``_write_table`` gives the bytes of ``csv.writer`` for every value
+    kind it is passed, at row counts around a block."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(columns=table_columns(),
+           fmt=st.sampled_from([(",", "\r\n"), (" ", "\n")]))
+    def test_same_bytes(self, tmp_path_factory, columns, fmt):
+        directory = tmp_path_factory.mktemp("table")
+        delimiter, lineterminator = fmt
+        head = [("a", "b c", 1.5), ("marker",)]
+        lfio._write_table(directory / "new", head, columns, delimiter,
+                          lineterminator)
+        _oracle_write_table(directory / "oracle", head, columns,
+                            delimiter=delimiter, lineterminator=lineterminator)
+        assert ((directory / "new").read_bytes()
+                == (directory / "oracle").read_bytes())
+
+
+def test_each_distinct_value_formatted_once_per_block(monkeypatch, tmp_path):
+    """A 400 x 400 export whose columns hold few distinct values formats
+    each distinct bit pattern once per block of rows, not each of its 1.12 M
+    cells."""
+    grid, _ = _random_grids(400, 400, 7)
+    calls = 0
+
+    def counting_repr(value):
+        nonlocal calls
+        calls += 1
+        return repr(value)
+
+    monkeypatch.setattr(lfio, "repr", counting_repr, raising=False)
+    lfio.export_lambda_csv(grid, tmp_path / "grid.csv")
+    cells = np.arange(grid.geometry.n_cells)
+    columns = [cells % grid.geometry.n_cols, cells // grid.geometry.n_cols,
+               grid.hits, grid.misses, grid.lambda_map(), *grid.bound_maps()]
+    expected = sum(len(np.unique(c[start:start + lfio.TABLE_BLOCK_ROWS].view(
+                       f"u{c.itemsize}")))
+                   for start in range(0, len(cells), lfio.TABLE_BLOCK_ROWS)
+                   for c in columns)
+    assert calls == expected < 30_000
+
+
+def test_bounds_computed_once_per_block(monkeypatch, tmp_path):
+    """The intensity CSV takes both bound columns of a block from one
+    ``bound_maps`` call; 70 x 61 cells are two blocks."""
+    grid, _ = _random_grids(70, 61, 8)
+    blocks = []
+    bound_maps = LambdaGrid.bound_maps
+    monkeypatch.setattr(LambdaGrid, "bound_maps", lambda self, cells:
+                        blocks.append(cells) or bound_maps(self, cells))
+    lfio.export_lambda_csv(grid, tmp_path / "grid.csv")
+    assert len(blocks) == 2
