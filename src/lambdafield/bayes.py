@@ -37,9 +37,9 @@ class BayesGrid:
         self.l_free = -math.log(p_free_given_miss / (1.0 - p_free_given_miss))
         self.log_odds = np.zeros(geometry.n_cells, dtype=np.float64)
 
-    def occupancy(self) -> np.ndarray:
-        """Per-cell occupancy probabilities, strictly inside (0, 1)."""
-        return 1.0 / (1.0 + np.exp(-self.log_odds))
+    def occupancy(self, cells=slice(None)) -> np.ndarray:
+        """Occupancy in (0, 1) of the flat ``cells`` (default all); reads only those."""
+        return 1.0 / (1.0 + np.exp(-self.log_odds[cells]))
 
     def _bump(self, indices: np.ndarray, delta: float) -> None:
         if len(indices) == 0:
@@ -50,11 +50,11 @@ class BayesGrid:
 
 
 def bayes_scan(grid: BayesGrid, beams: list[Beam], sensor: SensorModel) -> None:
-    """Standard log-odds update, beam by beam in scan order: traversed cells
-    toward free, then the cell holding a hit beam's endpoint toward occupied,
-    each step clipped to the clamp; a beam that crosses no cell changes
-    nothing. Beams end at ``beam.endpoint()`` and are traced in one call,
-    whose row count sets how many are folded in. The ``sensor`` is not read."""
+    """Standard log-odds update, beam by beam in scan order (a Python loop, as
+    the clamp makes the result order-dependent): crossed cells toward free,
+    then the cell holding a hit beam's endpoint() toward occupied, each step
+    clipped; a beam crossing no cell changes nothing. Beams are traced in one
+    call, whose row count sets how many are folded in; ``sensor`` is unused."""
     geo = grid.geometry
     origins, ends, hit = beam_arrays(beams)
     occupied = np.full(len(ends), -1)
@@ -74,7 +74,7 @@ def naive_path_probability(grid: BayesGrid, cells) -> float:
     textbook path collision probability whose value depends on the
     tessellation size."""
     return naive_probability_from_occupancy(
-        grid.occupancy()[np.asarray(cells, dtype=np.int64)])
+        grid.occupancy(np.asarray(cells, dtype=np.int64)))
 
 
 def naive_probability_from_occupancy(probabilities) -> float:

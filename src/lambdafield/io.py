@@ -156,9 +156,9 @@ def export_lambda_csv(grid: LambdaGrid, path: str | Path) -> None:
 
 
 def export_bayes_csv(grid: BayesGrid, path: str | Path) -> None:
-    """col,row,log_odds,p_occ for every cell."""
+    """col,row,log_odds,p_occ for every cell; p_occ is computed per block."""
     _write_table(path, [("col", "row", "log_odds", "p_occ")],
-                 [*_col_row(grid.geometry), grid.log_odds, grid.occupancy()])
+                 [*_col_row(grid.geometry), grid.log_odds, grid.occupancy])
 
 
 def _col_row(geo: GridGeometry) -> list:

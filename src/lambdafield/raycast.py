@@ -11,6 +11,7 @@ from .geometry import GridGeometry
 
 
 CELL_CHORD = np.dtype([("cell", np.int64), ("chord", np.float64)])
+DISK_WINDOW_CELLS = 1 << 16  # window cells tested at once, about 4 MB of temporaries
 
 
 def trace_beam(geometry: GridGeometry, origins, endpoints) -> np.ndarray:
@@ -81,29 +82,30 @@ def trace_beam(geometry: GridGeometry, origins, endpoints) -> np.ndarray:
     return out
 
 
-def error_region_cells(geometry: GridGeometry, center: tuple[float, float],
-                       radius: float) -> np.ndarray:
-    """Flat indices of cells whose center lies within the disk around a return.
-
-    Cells outside the grid are dropped; the result may be empty.
-    """
+def error_region_cells(geometry: GridGeometry, centers, radius: float) -> np.ndarray:
+    """Flat indices of the cells whose centre lies within ``radius`` of one of
+    the ``centers`` ((x, y) pairs that broadcast to (n, 2); a non-finite one
+    raises ValueError): disk 0's cells, then disk 1's, ..., each row-major,
+    off-grid cells dropped. Each disk is tested on a fixed window in the grid."""
     if radius <= 0:
         raise ValueError("radius must be > 0")
-    cx, cy = center
-    res = geometry.resolution
-    col_lo = int(math.floor((cx - radius - geometry.origin_x) / res))
-    col_hi = int(math.floor((cx + radius - geometry.origin_x) / res))
-    row_lo = int(math.floor((cy - radius - geometry.origin_y) / res))
-    row_hi = int(math.floor((cy + radius - geometry.origin_y) / res))
-    col_lo = max(col_lo, 0)
-    row_lo = max(row_lo, 0)
-    col_hi = min(col_hi, geometry.n_cols - 1)
-    row_hi = min(row_hi, geometry.n_rows - 1)
-    if col_lo > col_hi or row_lo > row_hi:
-        return np.empty(0, dtype=np.int64)
-    cells = (np.arange(row_lo, row_hi + 1)[:, None] * geometry.n_cols
-             + np.arange(col_lo, col_hi + 1)).ravel()
-    return cells[centre_in_disk(geometry, cells, cx, cy, radius)]
+    c = np.reshape(np.asarray(centers, np.float64), (-1, 2))
+    if not np.isfinite(c).all():
+        raise ValueError("error disk centre is not finite")
+    size, res = np.array([geometry.n_cols, geometry.n_rows]), geometry.resolution
+    origin = np.array([geometry.origin_x, geometry.origin_y])
+    # clipped to radius + one cell off the grid, a far-off centre still has no cell
+    c = np.clip(c, origin - radius - res, origin + size * res + radius + res)
+    # on each axis, a disk's cells lie at most int(2 * radius / res) + 2 apart
+    width = np.minimum(int(2 * radius / res) + 3, size)
+    step = max(1, DISK_WINDOW_CELLS // int(width.prod()))  # disks per window array
+    if len(c) > step:
+        return np.concatenate([error_region_cells(geometry, c[k:k + step], radius)
+                               for k in range(0, len(c), step)])
+    lo = np.clip(np.floor((c - radius - origin) / res), 0, size - width).astype(int)
+    cols, rows = (lo[:, k:k + 1] + np.arange(width[k]) for k in (0, 1))
+    cells = rows[:, :, None] * geometry.n_cols + cols[:, None, :]
+    return cells[centre_in_disk(geometry, cells, *c.T[:, :, None, None], radius)]
 
 
 def centre_in_disk(geometry: GridGeometry, cells: np.ndarray, cx, cy,

@@ -74,22 +74,21 @@ def beam_arrays(beams: list[Beam]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def apply_scan(grid: LambdaGrid, beams: list[Beam], sensor: SensorModel) -> None:
-    """Fold a scan's beams into the counts, tracing all of them in one call.
+    """Fold a scan's beams into the counts with one trace and one disk call.
 
     Hit beams: cells traversed strictly before the first traversed cell whose
-    center is in the error disk get a miss; every cell whose center is
-    inside the disk gets a hit. A cell both traversed and inside the disk
-    counts as hit only. No-return beams mark every traversed cell as missed.
-    Each beam adds one count per cell, so the result equals folding the beams
-    in one at a time; the traced row count sets how many are folded in.
-    """
+    center is in the error disk get a miss; every cell whose center is inside
+    the disk gets a hit. A cell both traversed and inside the disk counts as
+    hit only. No-return beams mark every traversed cell as missed. Each beam
+    adds one count per cell, so the result equals folding the beams in one at
+    a time; the traced row count sets how many are folded in. A hit beam with
+    a non-finite endpoint raises ValueError before any count."""
     geo, radius = grid.geometry, sensor.error_radius
     origins, ends, hit = beam_arrays(beams)
     cells = trace_beam(geo, origins, ends)["cell"]
     ends, hit = ends[:len(cells)], hit[:len(cells)]
-    regions = [error_region_cells(geo, end, radius) for end in ends[hit]]
+    grid.add_hits(error_region_cells(geo, ends[hit], radius))
     disk = hit[:, None] & centre_in_disk(geo, cells, ends[:, :1], ends[:, 1:], radius)
-    grid.add_hits(np.concatenate([np.empty(0, np.int64), *regions]))
     grid.add_misses(cells[(cells >= 0) & (np.cumsum(disk, axis=1) == 0)])
 
 
@@ -99,13 +98,18 @@ def simulate_scan(truth: GroundTruthMap, pose: tuple[float, float, float],
     """Synthesize one 360-degree scan from a pose over the true intensity map.
 
     Per crossed cell of chord l and true intensity lam, the beam stops with
-    probability 1 - exp(-l * w_b * lam) where the beam width proxy w_b is the
-    grid resolution. Noise: with probability 1 - p_hit a spurious early
-    return is injected uniformly along the ray; with probability 1 - p_miss a
-    true return is dropped; reported ranges are perturbed uniformly within
-    the error disk radius. All beams are traced in one call, and each beam's
-    draws are made in beam order, so the output is deterministic for a seed.
-    """
+    probability 1 - exp(-l * w_b * lam), the beam width proxy w_b being the
+    grid resolution; the true range is the chords before the first stop,
+    summed in order, plus a uniform share of the stop cell's chord. Noise:
+    with probability 1 - p_hit a spurious early return is injected uniformly
+    along the ray; with probability 1 - p_miss a true return is dropped;
+    reported ranges are perturbed uniformly within the error disk radius.
+    All beams are traced in one call, whose row count sets the beam count.
+    Draws, in a fixed order: one per crossed cell, beam by beam from the
+    origin outward (none for padding, so they do not depend on the other
+    beams' lengths); then one per beam for each of the place in the stop
+    cell, the spurious-return test, the spurious range, the drop test and
+    the jitter."""
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
     x, y, theta = pose
@@ -113,34 +117,28 @@ def simulate_scan(truth: GroundTruthMap, pose: tuple[float, float, float],
         raise ValueError(f"scan pose ({x}, {y}, {theta}) is not finite")
     if not truth.geometry.contains(x, y):
         raise ValueError(f"pose ({x}, {y}) outside map")
-    beam_width = truth.geometry.resolution
-    angles = [theta + 2.0 * math.pi * k / beam_count for k in range(beam_count)]
-    directions = [(math.cos(angle), math.sin(angle)) for angle in angles]
-    ends = [(x + c * sensor.max_range, y + s * sensor.max_range) for c, s in directions]
-    traced = trace_beam(truth.geometry, (x, y), ends)
-    beams: list[Beam] = []
-    for direction, traversed in zip(directions, traced):
-        traversed = traversed[traversed["cell"] >= 0]
-        chords = traversed["chord"]
-        p_stop = -np.expm1(-chords * beam_width * truth.intensities[traversed["cell"]])
-        stops = np.flatnonzero(rng.random(len(chords)) < p_stop)
-        true_range = None
-        if stops.size:
-            first = int(stops[0])
-            dist_before = float(np.sum(chords[:first]))
-            true_range = dist_before + float(rng.random()) * float(chords[first])
-        # the clipped ray's length, its chords summed in order
-        ray_len = float(np.cumsum(chords)[-1]) if len(chords) else 0.0
-
-        measured, hit = sensor.max_range, False  # no return
-        if rng.random() > sensor.p_hit:
-            # spurious return (e.g. a raindrop) before any true obstacle
-            upper = true_range if true_range is not None else ray_len
-            rng_range = float(rng.random()) * upper if upper > 0 else 0.0
-            measured, hit = max(rng_range, 1e-9), True
-        elif true_range is not None and rng.random() <= sensor.p_miss:
-            jitter = (2.0 * float(rng.random()) - 1.0) * sensor.error_radius
-            measured = min(max(true_range + jitter, 1e-9), sensor.max_range)
-            hit = True
-        beams.append(Beam((x, y), direction, measured, hit))
-    return beams
+    angles = theta + 2.0 * math.pi * np.arange(beam_count) / beam_count
+    cos, sin = np.cos(angles), np.sin(angles)
+    traced = trace_beam(truth.geometry, (x, y), np.stack(
+        [x + cos * sensor.max_range, y + sin * sensor.max_range], axis=1))
+    n, m = traced.shape
+    cells, chords = traced["cell"], traced["chord"]
+    real = cells >= 0
+    stops = np.zeros((n, m), bool)
+    stops[real] = rng.random(real.sum()) < -np.expm1(
+        -chords[real] * truth.geometry.resolution * truth.intensities[cells[real]])
+    # the first stop's column, or m if none (the clipped ray's length, no chord)
+    first = np.argmax(np.pad(stops, ((0, 0), (0, 1)), constant_values=True), axis=1)
+    padded = np.pad(chords, ((0, 0), (1, 1)))
+    true_range = (np.cumsum(padded, axis=1)[np.arange(n), first]
+                  + rng.random(n) * padded[np.arange(n), first + 1])
+    # a spurious return (e.g. a raindrop) before any true obstacle
+    spurious = rng.random(n) > sensor.p_hit
+    spurious_range = np.maximum(rng.random(n) * true_range, 1e-9)
+    returned = (first < m) & ~spurious & (rng.random(n) <= sensor.p_miss)
+    jittered = np.clip(true_range + (2.0 * rng.random(n) - 1.0) * sensor.error_radius,
+                       1e-9, sensor.max_range)
+    measured = np.where(spurious, spurious_range,
+                        np.where(returned, jittered, sensor.max_range))
+    return [Beam((x, y), (c, s), r, h) for c, s, r, h in zip(
+        cos.tolist(), sin.tolist(), measured.tolist(), (spurious | returned).tolist())]

@@ -1,16 +1,18 @@
-"""Per-beam oracles: the incremental grid walk, and the per-beam count,
-log-odds and simulator updates that the scan functions must equal.
+"""Per-beam oracles: the incremental grid walk, the scalar error disk, and
+the per-beam count, log-odds and simulator updates that the scan functions
+must equal.
 
 Each oracle folds one beam at a time, walking it with ``incremental_walk``,
-the scalar Amanatides & Woo loop, so none of them shares the package's array
-traversal.
+the scalar Amanatides & Woo loop, and rasterising its disk with the scalar
+``error_region_cells``, so none of them shares the package's array
+traversal or disk code.
 """
 
 import math
 
 import numpy as np
 
-from lambdafield import GridGeometry, error_region_cells
+from lambdafield import GridGeometry
 from lambdafield.field import COUNT_MAX
 from lambdafield.raycast import CELL_CHORD
 from lambdafield.sensor import Beam
@@ -90,6 +92,28 @@ def walk_records(geometry: GridGeometry, origin, endpoint) -> np.ndarray:
     return np.array(incremental_walk(geometry, origin, endpoint), CELL_CHORD)
 
 
+def error_region_cells(geometry: GridGeometry, center: tuple[float, float],
+                       radius: float) -> np.ndarray:
+    """Oracle: flat indices of the cells whose centre lies within the disk
+    around one return, in row-major order; cells outside the grid dropped."""
+    cx, cy = center
+    res = geometry.resolution
+    col_lo = max(int(math.floor((cx - radius - geometry.origin_x) / res)), 0)
+    col_hi = min(int(math.floor((cx + radius - geometry.origin_x) / res)),
+                 geometry.n_cols - 1)
+    row_lo = max(int(math.floor((cy - radius - geometry.origin_y) / res)), 0)
+    row_hi = min(int(math.floor((cy + radius - geometry.origin_y) / res)),
+                 geometry.n_rows - 1)
+    out = []
+    for row in range(row_lo, row_hi + 1):
+        for col in range(col_lo, col_hi + 1):
+            x = geometry.origin_x + (col + 0.5) * res
+            y = geometry.origin_y + (row + 0.5) * res
+            if (x - cx) ** 2 + (y - cy) ** 2 <= radius * radius:
+                out.append(row * geometry.n_cols + col)
+    return np.array(out, dtype=np.int64)
+
+
 def _count(counts: np.ndarray, cells: np.ndarray) -> None:
     keep = counts[cells] < COUNT_MAX
     counts[cells[keep]] += 1
@@ -126,35 +150,38 @@ def bayes_update(grid, beam: Beam) -> None:
 
 
 def simulate_scan(truth, pose, sensor, beam_count: int, seed: int) -> list:
-    """The simulator, one beam walked and drawn at a time."""
+    """The simulator, one beam walked and decided at a time. It makes the
+    package's draws in the package's order: one per cell of every beam's
+    walk, beam by beam; then one per beam for each of the place in the stop
+    cell, the spurious-return test, the spurious range, the drop test and
+    the jitter. The directions are the package's numpy expression, since
+    what this oracle checks is the walk and the draws."""
     rng = np.random.default_rng(seed)
     x, y, theta = pose
     beam_width = truth.geometry.resolution
+    angles = theta + 2.0 * math.pi * np.arange(beam_count) / beam_count
+    directions = list(zip(np.cos(angles).tolist(), np.sin(angles).tolist()))
+    walks = [incremental_walk(truth.geometry, (x, y),
+                              (x + c * sensor.max_range, y + s * sensor.max_range))
+             for c, s in directions]
+    draws = iter(rng.random(sum(map(len, walks))).tolist())
+    stop_draws = [[next(draws) for _ in walk] for walk in walks]
+    place, spurious, spurious_at, keep, jitter = rng.random((5, beam_count))
     beams = []
-    for k in range(beam_count):
-        angle = theta + 2.0 * math.pi * k / beam_count
-        direction = (math.cos(angle), math.sin(angle))
-        end = (x + direction[0] * sensor.max_range,
-               y + direction[1] * sensor.max_range)
-        traversed = walk_records(truth.geometry, (x, y), end)
-        chords = traversed["chord"]
-        p_stop = -np.expm1(-chords * beam_width
-                           * truth.intensities[traversed["cell"]])
-        stops = np.flatnonzero(rng.random(len(chords)) < p_stop)
-        true_range = None
-        if stops.size:
-            first = int(stops[0])
-            dist_before = float(np.sum(chords[:first]))
-            true_range = dist_before + float(rng.random()) * float(chords[first])
-        ray_len = float(np.cumsum(chords)[-1]) if len(chords) else 0.0
+    for k, (direction, walk) in enumerate(zip(directions, walks)):
+        true_range, stopped = 0.0, False
+        for (cell, chord), draw in zip(walk, stop_draws[k]):
+            p_stop = -math.expm1(-chord * beam_width * truth.intensities[cell])
+            if draw < p_stop:
+                true_range += place[k] * chord
+                stopped = True
+                break
+            true_range += chord
         measured, hit = sensor.max_range, False
-        if rng.random() > sensor.p_hit:
-            upper = true_range if true_range is not None else ray_len
-            rng_range = float(rng.random()) * upper if upper > 0 else 0.0
-            measured, hit = max(rng_range, 1e-9), True
-        elif true_range is not None and rng.random() <= sensor.p_miss:
-            jitter = (2.0 * float(rng.random()) - 1.0) * sensor.error_radius
-            measured = min(max(true_range + jitter, 1e-9), sensor.max_range)
-            hit = True
-        beams.append(Beam((x, y), direction, measured, hit))
+        if spurious[k] > sensor.p_hit:
+            measured, hit = max(spurious_at[k] * true_range, 1e-9), True
+        elif stopped and keep[k] <= sensor.p_miss:
+            r = true_range + (2.0 * jitter[k] - 1.0) * sensor.error_radius
+            measured, hit = min(max(r, 1e-9), sensor.max_range), True
+        beams.append(Beam((x, y), direction, float(measured), hit))
     return beams

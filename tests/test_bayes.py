@@ -39,6 +39,14 @@ class TestBayesUpdate:
         assert np.abs(grid.log_odds).max() <= 2.0
         assert (0 < grid.occupancy()).all() and (grid.occupancy() < 1).all()
 
+    def test_occupancy_of_cells_equals_whole_grid(self, geometry, rng):
+        grid = BayesGrid(geometry)
+        grid.log_odds[:] = rng.uniform(-10.0, 10.0, geometry.n_cells)
+        whole = grid.occupancy()
+        cells = rng.integers(geometry.n_cells, size=50)
+        for pick in (cells, slice(7, 300), np.array([], np.int64)):
+            assert grid.occupancy(pick).tobytes() == whole[pick].tobytes()
+
     def test_invalid_model_rejected(self, geometry):
         with pytest.raises(ValueError):
             BayesGrid(geometry, p_occ_given_hit=0.4)

@@ -434,9 +434,8 @@ class TestWritersMatchOracles:
 def test_dump_writer_memory_stays_flat(save, tmp_path):
     """A 400 x 400 dump is written without a whole-grid list of rows or
     strings (about 12 and 19 MB when each cell was a string), and the
-    intensity CSV without whole-grid intensity maps (15.4 MB when it
-    computed them up front). The occupancy CSV takes ``occupancy()`` of the
-    whole grid, which peaks at 2.56 MB by itself."""
+    intensity and occupancy CSVs without whole-grid maps (15.4 and 2.56 MB
+    when they computed them up front)."""
     grid, bayes = _random_grids(400, 400, 4)
     target = bayes if save in (lfio.save_bayes_grid,
                                lfio.export_bayes_csv) else grid
@@ -446,7 +445,7 @@ def test_dump_writer_memory_stays_flat(save, tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < (3e6 if save is lfio.export_bayes_csv else 2e6), peak
+    assert peak < 2e6, peak
 
 
 @pytest.mark.parametrize("kind", ["lambda", "bayes"])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +136,25 @@ class TestErrorRegion:
 
     def test_disk_fully_outside_grid(self, geometry):
         assert len(error_region_cells(geometry, (50.0, 50.0), 0.2)) == 0
+
+    def test_no_centres_no_cells(self, geometry):
+        for empty in ([], np.empty((0, 2))):
+            cells = error_region_cells(geometry, empty, 0.2)
+            assert cells.dtype == np.int64 and cells.shape == (0,)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_centre_rejected_without_warning(self, geometry, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for centres in [(bad, 1.0), [(1.0, 1.0), (1.0, bad)]]:
+                with pytest.raises(ValueError, match="not finite"):
+                    error_region_cells(geometry, centres, 0.2)
+
+    def test_far_off_finite_centre_no_cells_without_warning(self, geometry):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for centre in [(1e200, 1.0), (-1.7e308, 2.0), (1e300, -1e300)]:
+                assert len(error_region_cells(geometry, centre, 0.2)) == 0
 
     def test_nonpositive_radius_rejected(self, geometry):
         with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
-"""The scan functions trace every beam of a call at once; these tests hold
-them to the per-beam oracles in ``oracle.py``, bit for bit."""
+"""The scan functions trace every beam of a call at once and rasterise all
+of its error disks in one call; these tests hold them to the per-beam
+oracles in ``oracle.py``, bit for bit."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import pytest
 import lambdafield
 from lambdafield import (Beam, BayesGrid, GridGeometry, GroundTruthMap,
                          LambdaGrid, SensorModel, apply_scan, bayes_scan,
-                         simulate_scan)
+                         error_region_cells, simulate_scan)
 import oracle
 
 GEOMETRIES = [GridGeometry(0.0, 0.0, 0.1, 40, 40),
@@ -83,11 +85,41 @@ def test_log_odds_equal_per_beam_oracle(geometry, clamp, rng):
 
 
 def test_nan_hit_beam_raises_before_any_count(grid, sensor):
-    beams = [Beam((2.0, 2.0), (1.0, 0.0), 1.0, True),
-             Beam((2.0, 2.0), (math.nan, 0.0), 1.0, True)]
-    with pytest.raises(ValueError):
-        apply_scan(grid, beams, sensor)
-    assert grid.hits.sum() == 0 and grid.misses.sum() == 0
+    for bad in (math.nan, math.inf):  # an inf end too, with no warning
+        beams = [Beam((2.0, 2.0), (1.0, 0.0), 1.0, True),
+                 Beam((2.0, 2.0), (bad, 0.0), 1.0, True)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                apply_scan(grid, beams, sensor)
+        assert grid.hits.sum() == 0 and grid.misses.sum() == 0
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES, ids=IDS)
+@pytest.mark.parametrize("window_cells", [1 << 16, 200, 1])  # chunks of disks
+def test_error_disks_equal_per_centre_oracle(monkeypatch, geometry, rng, window_cells):
+    monkeypatch.setattr(lambdafield.raycast, "DISK_WINDOW_CELLS", window_cells)
+    lo = np.array([geometry.origin_x, geometry.origin_y])
+    size = np.array([geometry.width, geometry.height])
+    res = geometry.resolution
+    n_cells = np.array([geometry.n_cols, geometry.n_rows])
+    centres = np.concatenate([
+        lo + rng.uniform(-0.2, 1.2, (60, 2)) * size,           # on and off
+        lo + rng.integers(0, n_cells + 1, (20, 2)) * res,       # cell corners
+        lo + (rng.integers(0, n_cells, (20, 2)) + 0.5) * res,   # cell centres
+        lo + [[0, 0.5], [1, 0.5], [0.5, 0], [0.5, 1], [0, 0], [1, 1]] * size,
+        lo + [[0, 0.5], [1, 0.5], [0.5, 0], [0.5, 1]] * size    # just outside
+        + np.array([[-0.4, 0], [0.4, 0], [0, -0.4], [0, 0.4]]) * res,
+        lo + [[-3.0, 0.5], [0.5, 4.0], [-1.0, -1.0]] * size])   # far off
+    for radius_in_cells in (0.3, 0.5, 0.71, 1.0, 1.5, 2.2, 3.0, 5.0):
+        radius = radius_in_cells * res
+        got = error_region_cells(geometry, centres, radius)
+        want = np.concatenate([oracle.error_region_cells(geometry, c, radius)
+                               for c in centres])
+        assert got.dtype == np.int64
+        assert got.tolist() == want.tolist(), radius_in_cells
+        assert error_region_cells(geometry, centres[0], radius).tolist() == \
+            oracle.error_region_cells(geometry, centres[0], radius).tolist()
 
 
 @pytest.mark.parametrize("geometry", GEOMETRIES, ids=IDS)
@@ -97,28 +129,38 @@ def test_simulated_beams_equal_per_beam_oracle(geometry):
     truth.set_block(x0 + 1.0, y0 + 0.5, x0 + 1.6, y0 + 1.4, 40.0)
     truth.set_block(x0 + 0.2, y0 + 1.0, x0 + 0.9, y0 + 1.3, 3.0)
     sensor = SensorModel(p_hit=0.9, p_miss=0.8, max_range=2.5)
-    for seed, beam_count in [(0, 90), (1, 360), (2, 7)]:
+    for seed, beam_count in [(0, 90), (1, 360), (2, 7), (3, 1), (4, 0)]:
         pose = (x0 + 0.7 + 0.1 * seed, y0 + 0.8, 0.3 * seed)
         got = simulate_scan(truth, pose, sensor, beam_count, seed)
         want = oracle.simulate_scan(truth, pose, sensor, beam_count, seed)
+        assert len(got) == beam_count
         assert repr(got) == repr(want)
-        assert any(b.hit for b in got) and not all(b.hit for b in got)
+        if beam_count > 1:
+            assert any(b.hit for b in got) and not all(b.hit for b in got)
 
 
 def test_each_scan_function_traces_once(monkeypatch, geometry, sensor, rng):
     calls = []
     real = lambdafield.raycast.trace_beam
+    real_disks = lambdafield.raycast.error_region_cells
 
     def counted(*args):
         calls.append(len(np.reshape(args[2], (-1, 2))))
         return real(*args)
 
+    def counted_disks(*args):
+        calls.append(("disks", len(args[1])))
+        return real_disks(*args)
+
     for module in (lambdafield.sensor, lambdafield.bayes):
         monkeypatch.setattr(module, "trace_beam", counted)
+    monkeypatch.setattr(lambdafield.sensor, "error_region_cells", counted_disks)
     truth = GroundTruthMap.uniform(geometry, 0.5)
     beams = simulate_scan(truth, (2.0, 2.0, 0.0), sensor, 90, 0)
     assert calls == [90]
+    hits = sum(b.hit for b in beams)
+    assert 0 < hits < 90
     apply_scan(LambdaGrid(geometry, sensor), beams, sensor)
-    assert calls == [90, 90]
+    assert calls == [90, 90, ("disks", hits)]
     bayes_scan(BayesGrid(geometry), random_scan(geometry, rng), sensor)
-    assert calls == [90, 90, 151]
+    assert calls == [90, 90, ("disks", hits), 151]

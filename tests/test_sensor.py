@@ -96,6 +96,56 @@ class TestSimulateScan:
             simulate_scan(truth, (99.0, 0.0, 0.0), sensor, 10, 0)
 
 
+def simulated_beams(resolution: float, lam: float, sensor: SensorModel,
+                    seed: int) -> list[Beam]:
+    """20 scans of 360 beams from random poses near the middle of a 20 m
+    square of uniform true intensity ``lam``, which every beam stays in."""
+    side = round(20.0 / resolution)
+    truth = GroundTruthMap.uniform(GridGeometry(0.0, 0.0, resolution, side, side),
+                                   lam)
+    rng = np.random.default_rng(seed)
+    beams = []
+    for _ in range(20):
+        x, y = rng.uniform(9.5, 10.5, 2)
+        beams += simulate_scan(truth, (x, y, rng.uniform(0.0, 2 * math.pi)),
+                               sensor, 360, rng)
+    return beams
+
+
+def assert_share(share: float, model: float, n: int, what) -> None:
+    """``share`` of n independent beams lies within 4 standard errors of
+    the ``model`` probability."""
+    assert abs(share - model) < 4 * math.sqrt(model * (1 - model) / n), \
+        (what, share, model)
+
+
+# resolution * lambda = 0.1 per m in both: the same model on two grids
+@pytest.mark.parametrize("resolution, lam", [(0.05, 2.0), (0.5, 0.2)])
+class TestSimulatorModel:
+    """The simulator's statistics, whatever order it draws in."""
+
+    def test_ranges_are_exponential(self, resolution, lam):
+        # every beam stops inside its cell with probability
+        # 1 - exp(-chord * resolution * lam), so P(range >= d) is
+        # exp(-resolution * lam * d); no noise and a tiny error disk
+        exact = SensorModel(p_hit=1.0, p_miss=1.0, error_area=1e-12,
+                            max_range=9.0)
+        beams = simulated_beams(resolution, lam, exact, 11)
+        ranges = np.array([b.measured_range for b in beams])
+        for d in (0.5, 2.0, 4.0, 8.0):
+            assert_share(float(np.mean(ranges >= d)),
+                         math.exp(-resolution * lam * d), len(ranges), d)
+
+    def test_hit_share_follows_the_noise_model(self, resolution, lam):
+        # a spurious return, or a true stop within range that is not dropped
+        noisy = SensorModel(p_hit=0.9, p_miss=0.8, max_range=9.0)
+        beams = simulated_beams(resolution, lam, noisy, 12)
+        p_stop = -math.expm1(-resolution * lam * noisy.max_range)
+        assert_share(float(np.mean([b.hit for b in beams])),
+                     (1 - noisy.p_hit) + noisy.p_hit * p_stop * noisy.p_miss,
+                     len(beams), "hit share")
+
+
 class TestGroundTruthMap:
     def test_negative_intensity_rejected(self, geometry):
         with pytest.raises(ValueError):
