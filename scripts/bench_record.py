@@ -2,13 +2,20 @@
 """Write a performance record: the final JSON line of every declared
 benchmark workload, for a checkout of the parent commit and for this one.
 
-    python3 scripts/bench_record.py --parent ../parent -o BENCH_7.json
+    python3 scripts/bench_record.py --parent ../parent -o BENCH_11.json
 
 Each run is ``bench/run.py --workload W --seed 1 --seconds 30`` in a fresh
-process, one at a time, parent first for each workload. Then each side runs
-``TRACED`` once more with ``--trace 1``, whose final line holds the per-layer
-metrics (self times per op); they go under ``"traced"``. The record also
-names the Python and numpy versions and the machine it ran on.
+process, one at a time. Per workload the two sides run ``PAIRS`` pairs in
+turn, the parent first in odd pairs and the change first in even ones, so a
+drift in the machine's speed falls on both sides. ``"runs"`` keeps every
+run's final line in the order run. ``"parent"`` and ``"change"`` give per
+workload whether every run was correct, the ops attempted and failed over
+all runs, and per metric the median and quartiles over the side's runs
+(judge a metric by its median; the quartiles show the run-to-run spread).
+Then each side runs ``TRACED`` once more with ``--trace 1``, whose final line
+holds the per-layer metrics (self times per op); they go under ``"traced"``.
+The record also names the Python and numpy versions and the machine it ran
+on.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 RUN_ARGS = ["--seed", "1", "--seconds", "30"]
 TRACED = "map-400"
+PAIRS = 3
 
 
 def final_line(checkout: Path, workload: str, *extra: str) -> dict:
@@ -36,6 +44,21 @@ def final_line(checkout: Path, workload: str, *extra: str) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def summary(lines: list[dict]) -> dict:
+    """One side's runs of one workload: correctness, op counts, and each
+    metric's median and quartiles."""
+    metrics = {}
+    for name, first in lines[0]["metrics"].items():
+        q1, median, q3 = np.percentile(
+            [line["metrics"][name]["value"] for line in lines], [25, 50, 75])
+        metrics[name] = {"median": median, "q1": q1, "q3": q3,
+                         "unit": first["unit"]}
+    return {"correct": all(line["correct"] for line in lines),
+            "attempted": sum(line["attempted"] for line in lines),
+            "failed": sum(line["failed"] for line in lines),
+            "metrics": metrics}
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True,
@@ -43,18 +66,28 @@ def main() -> None:
     parser.add_argument("-o", "--output", type=Path, required=True)
     args = parser.parse_args()
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    checkouts = {"parent": args.parent, "change": ROOT}
     record = {
         "command": " ".join(["bench/run.py --workload W", *RUN_ARGS]),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
+        "pairs": PAIRS, "runs": {},
         "parent": {}, "change": {}, "traced": {"parent": {}, "change": {}},
     }
     for workload in (w["name"] for w in declared["workloads"]):
-        for side, checkout in (("parent", args.parent), ("change", ROOT)):
-            print(f"{side} {workload}", file=sys.stderr, flush=True)
-            record[side][workload] = final_line(checkout, workload)
-    for side, checkout in (("parent", args.parent), ("change", ROOT)):
+        runs = record["runs"][workload] = []
+        for pair in range(1, PAIRS + 1):
+            order = ("parent", "change") if pair % 2 else ("change", "parent")
+            for side in order:
+                print(f"pair {pair} {side} {workload}", file=sys.stderr,
+                      flush=True)
+                runs.append({"pair": pair, "side": side,
+                             "line": final_line(checkouts[side], workload)})
+        for side in checkouts:
+            record[side][workload] = summary(
+                [run["line"] for run in runs if run["side"] == side])
+    for side, checkout in checkouts.items():
         print(f"{side} {TRACED} traced", file=sys.stderr, flush=True)
         record["traced"][side][TRACED] = final_line(checkout, TRACED,
                                                     "--trace", "1")

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 import click
@@ -188,24 +189,29 @@ def _output_dir(explicit: str | None, scenario: Scenario | None = None) -> Path:
     return out
 
 
-def _simulate_scans(scenario: Scenario, seed: int) -> list:
-    """(t, pose, beams) for each scripted scan pose, in order."""
+def _simulate_scans(scenario: Scenario, seed: int) -> Iterator[tuple]:
+    """(t, pose, beams) for each scripted scan pose, in order; the ground
+    truth and poses load at once, each scan is simulated as it is drawn."""
     truth = scenario.ground_truth()
     rng = np.random.default_rng(seed)
-    return [(float(i), tuple(pose),
+    return ((float(i), tuple(pose),
              simulate_scan(truth, tuple(pose), scenario.sensor, scenario.beams,
                            rng))
-            for i, pose in enumerate(scenario.scan_poses())]
+            for i, pose in enumerate(scenario.scan_poses()))
 
 
 def _build_maps(scenario: Scenario, seed: int
                 ) -> tuple[LambdaGrid, BayesGrid, list]:
-    scans = _simulate_scans(scenario, seed)
+    simulated = _simulate_scans(scenario, seed)
     field = LambdaGrid(scenario.geometry, scenario.sensor, scenario.lambda_max)
     bayes = scenario.make_bayes()
-    for _, _, beams in scans:
+    scans = []
+    # each scan is folded in right after it is simulated, so trace_beam
+    # walks only the rows that differ from the simulator's trace
+    for t, pose, beams in simulated:
         apply_scan(field, beams, scenario.sensor)
         bayes_scan(bayes, beams, scenario.sensor)
+        scans.append((t, pose, beams))
     return field, bayes, scans
 
 
@@ -243,7 +249,7 @@ def cmd_simulate_scans(scenario_file, seed, output_dir):
     scenario = Scenario.load(scenario_file)
     seed = scenario.seed if seed is None else seed
     out = _output_dir(output_dir, scenario)
-    scans = _simulate_scans(scenario, seed)
+    scans = list(_simulate_scans(scenario, seed))
     lfio.save_scan_log(out / "scans.csv", scans)
     click.echo(f"wrote {sum(len(b) for _, _, b in scans)} beams to {out}")
 

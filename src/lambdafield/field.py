@@ -38,10 +38,10 @@ class SensorModel:
             raise ValueError(f"p_hit must be in (0, 1], got {self.p_hit}")
         if not 0 < self.p_miss <= 1:
             raise ValueError(f"p_miss must be in (0, 1], got {self.p_miss}")
-        if not self.error_area > 0:
-            raise ValueError("error_area must be > 0")
-        if not self.max_range > 0:
-            raise ValueError("max_range must be > 0")
+        if not 0 < self.error_area < math.inf:
+            raise ValueError(f"error_area must be finite and > 0, got {self.error_area}")
+        if not 0 < self.max_range < math.inf:
+            raise ValueError(f"max_range must be finite and > 0, got {self.max_range}")
 
     @property
     def error_radius(self) -> float:

@@ -12,6 +12,9 @@ from .geometry import GridGeometry
 
 CELL_CHORD = np.dtype([("cell", np.int64), ("chord", np.float64)])
 DISK_WINDOW_CELLS = 1 << 16  # window cells tested at once, about 4 MB of temporaries
+WALK_CROSSINGS = 1 << 18     # padded crossings walked at once, about 20 MB of temporaries
+# trace_beam's last call: (geometry, (n, 4) segments, result as _stack's pairs)
+_last = (None, np.zeros((0, 4)), np.zeros((0, 0), np.int64))
 
 
 def trace_beam(geometry: GridGeometry, origins, endpoints) -> np.ndarray:
@@ -26,9 +29,50 @@ def trace_beam(geometry: GridGeometry, origins, endpoints) -> np.ndarray:
     clipped segment length. Each axis's boundary crossings are summed in the
     order of the incremental walk (Amanatides & Woo), so every row equals
     that walk's records bit for bit.
+
+    A row depends only on its own segment, so the rows of the previous call
+    are reused: row k is walked again only if the geometry or the bits of
+    segment k differ from that call's. A scan's no-return beams end where
+    the simulator traced them, and ``bayes_scan`` traces ``apply_scan``'s
+    segments, so each scan's segments are walked once. The result equals a
+    full walk byte for byte, and it is always a fresh array the caller may
+    change; the module keeps one copy of it until the next call.
     """
+    global _last
     o, e = np.broadcast_arrays(*(np.reshape(np.asarray(p, float), (-1, 2))
                                  for p in (origins, endpoints)))
+    segments = np.concatenate([o, e], axis=1)
+    last_geometry, last_segments, last = _last
+    k = min(len(o), len(last)) if last_geometry == geometry else 0
+    same = np.zeros(len(o), bool)
+    same[:k] = (segments[:k].view(np.uint64)
+                == last_segments[:k].view(np.uint64)).all(axis=1)
+    new = ~same
+    pairs = _stack(len(o), [(same, last[:k][same[:k]]),
+                            (new, _walk(geometry, o[new], e[new]).view(np.int64))]
+                   ).view(np.int64)
+    _last = (geometry, segments, pairs)
+    return pairs.copy().view(CELL_CHORD)
+
+
+def _stack(n: int, parts) -> np.ndarray:
+    """An (n, m) ``CELL_CHORD`` array holding each part's rows at its row
+    index (a slice or a mask), padded to the longest row. A part's rows are
+    ``CELL_CHORD`` rows viewed as int64 pairs (cell, chord bits, cell, ...),
+    which numpy moves far faster than records."""
+    width = max((int((rows[:, ::2] >= 0).any(axis=0).sum()) for _, rows in parts),
+                default=0)
+    out = np.zeros((n, width), CELL_CHORD)
+    out["cell"] = -1
+    for at, rows in parts:
+        m = min(2 * width, rows.shape[1])
+        out.view(np.int64)[at, :m] = rows[:, :m]
+    return out
+
+
+def _walk(geometry: GridGeometry, o: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """``trace_beam`` of the (n, 2) origins and endpoints, with no reuse,
+    walking at most ``WALK_CROSSINGS`` padded crossings at a time."""
     cell = np.stack(geometry.cell_of(o[:, 0], o[:, 1]), axis=1)  # (col, row)
     seg_len = np.array([math.hypot(dx, dy) for dx, dy in (e - o).tolist()])
     # a zero-length or non-finite beam moves along no axis and has no length
@@ -51,6 +95,13 @@ def trace_beam(geometry: GridGeometry, origins, endpoints) -> np.ndarray:
     # one crossing more than reach t_end in exact arithmetic, for rounding
     reach = np.minimum(n_left, (t_end - first) / step + 2)
     count = np.where(moving & (first < t_end), reach, 0).astype(np.int64)
+    # rows per chunk; a row's cells do not depend on the other rows
+    chunk = max(1, WALK_CROSSINGS // max(1, 2 * int(count.max(initial=0))))
+    if len(o) > chunk:
+        return _stack(len(o), [
+            (slice(k, k + chunk),
+             _walk(geometry, o[k:k + chunk], e[k:k + chunk]).view(np.int64))
+            for k in range(0, len(o), chunk)])
     times = np.repeat(step[..., None], count.max(initial=0), axis=2)
     times[..., :1] = first[..., None]
     times = np.cumsum(times, axis=2)
@@ -74,11 +125,12 @@ def trace_beam(geometry: GridGeometry, origins, endpoints) -> np.ndarray:
     flat = (cell[:, :1] + cell[:, 1:] * geometry.n_cols + move[:, :1] * x_steps
             + move[:, 1:] * y_steps)
     per_row = keep.sum(axis=1)
-    at = np.repeat(np.arange(len(o)), per_row), (np.cumsum(keep, axis=1) - 1)[keep]
     out = np.zeros((len(o), per_row.max(initial=0)), CELL_CHORD)
     out["cell"] = -1
-    out["cell"][at] = flat[keep]
-    out["chord"][at] = chords[keep]
+    # the kept cells in row-major order fill each row's first per_row slots
+    full = np.arange(out.shape[1]) < per_row[:, None]
+    out["cell"][full] = flat[keep]
+    out["chord"][full] = chords[keep]
     return out
 
 

@@ -198,6 +198,10 @@ BAD_INPUTS = [
      "map s.yaml", 2),
     ("map: sensor error_area NaN",
      {"s.yaml": scenario(sensor={"error_area": math.nan})}, "map s.yaml", 2),
+    ("map: sensor error_area inf",
+     {"s.yaml": scenario(sensor={"error_area": math.inf})}, "map s.yaml", 2),
+    ("map: sensor max_range inf",
+     {"s.yaml": scenario(sensor={"max_range": math.inf})}, "map s.yaml", 2),
     ("map: scenario is not YAML", {"s.yaml": "grid: [cols: 4\n"},
      "map s.yaml", 2),
     ("map: missing scenario file", {}, "map s.yaml", 3),

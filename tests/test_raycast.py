@@ -1,11 +1,17 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from lambdafield import GridGeometry, error_region_cells, trace_beam
+from lambdafield import GridGeometry, error_region_cells, raycast, trace_beam
 from oracle import incremental_walk
+
+GEOMETRIES = [GridGeometry(0.0, 0.0, 0.1, 40, 40),
+              GridGeometry(-1.25, 0.5, 0.05, 97, 31),
+              GridGeometry(0.3, -2.0, 0.37, 13, 29)]
+IDS = ["0.1", "0.05", "0.37"]
 
 
 class TestTraceBeam:
@@ -93,10 +99,7 @@ def oracle_beams(geometry: GridGeometry, rng) -> list:
     return beams
 
 
-@pytest.mark.parametrize("geometry", [
-    GridGeometry(0.0, 0.0, 0.1, 40, 40),
-    GridGeometry(-1.25, 0.5, 0.05, 97, 31),
-    GridGeometry(0.3, -2.0, 0.37, 13, 29)], ids=["0.1", "0.05", "0.37"])
+@pytest.mark.parametrize("geometry", GEOMETRIES, ids=IDS)
 def test_trace_beam_equals_incremental_walk(geometry, rng):
     beams = oracle_beams(geometry, rng)
     rows = trace_beam(geometry, [o for o, _ in beams], [e for _, e in beams])
@@ -111,6 +114,88 @@ def test_trace_beam_equals_incremental_walk(geometry, rng):
         row, = trace_beam(geometry, origin, end)
         assert row.tolist() == [tuple(c) for c in incremental_walk(
             geometry, origin, end)]
+
+
+def segment_arrays(beams) -> tuple[np.ndarray, np.ndarray]:
+    return (np.array([o for o, _ in beams], np.float64),
+            np.array([e for _, e in beams], np.float64))
+
+
+def test_trace_beam_reuses_rows_byte_for_byte(monkeypatch, geometry, rng):
+    """Under full, partial and no reuse, a changed geometry and a changed row
+    count, with NaN and infinite rows among them, ``trace_beam`` returns the
+    bytes of a fresh walk, and walks exactly the rows whose segment bits (or
+    geometry) differ from its previous call's."""
+    real, walked = raycast._walk, []
+
+    def counted(geo, o, e):
+        walked.append(len(o))
+        return real(geo, o, e)
+
+    monkeypatch.setattr(raycast, "_walk", counted)
+    monkeypatch.setattr(raycast, "WALK_CROSSINGS", 1 << 30)  # one call, no chunks
+    monkeypatch.setattr(raycast, "_last", (None,) + raycast._last[1:])
+    o, e = segment_arrays(oracle_beams(geometry, rng))
+    n, half = len(o), len(o) // 2
+    shifted = e.copy()
+    shifted[::3] += 0.01  # NaN rows stay bit-equal, so they are reused
+    differs = (shifted.view(np.uint64) != e.view(np.uint64)).any(axis=1)
+    moved = o.copy()
+    moved[1::4] += 1e-3  # other origins, the same endpoints
+    finer = GridGeometry(geometry.origin_x, geometry.origin_y,
+                         geometry.resolution / 2, 2 * geometry.n_cols,
+                         2 * geometry.n_rows)
+    calls = [(geometry, o, e, n),                          # no reuse
+             (geometry, o, e, 0),                          # full reuse
+             (geometry, o, shifted, differs.sum()),        # partial reuse
+             (geometry, o[:half], shifted[:half], 0),      # fewer rows
+             (geometry, o, e, differs[:half].sum() + n - half),  # more rows
+             (geometry, moved, e, len(moved[1::4])),
+             (finer, o, e, n)]                             # another geometry
+    assert 0 < differs.sum() < n and np.isnan(e).any() and np.isinf(e).any()
+    for geo, origins, ends, rows_walked in calls:
+        walked.clear()
+        got = trace_beam(geo, origins, ends)
+        assert walked == [rows_walked]
+        want = real(geo, origins, ends)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_trace_beam_returns_a_fresh_array(monkeypatch, geometry, rng):
+    monkeypatch.setattr(raycast, "_last", raycast._last)  # restored afterwards
+    o, e = segment_arrays(oracle_beams(geometry, rng))
+    first = trace_beam(geometry, o, e)
+    first["cell"], first["chord"] = 7, -1.0
+    again = trace_beam(geometry, o, e)
+    assert again.flags.writeable and not np.shares_memory(first, again)
+    assert again.tobytes() == raycast._walk(geometry, o, e).tobytes()
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES, ids=IDS)
+@pytest.mark.parametrize("crossings", [1000, 1])  # down to one row per chunk
+def test_chunked_walk_equals_unchunked(monkeypatch, geometry, rng, crossings):
+    o, e = segment_arrays(oracle_beams(geometry, rng))
+    whole = raycast._walk(geometry, o, e)
+    monkeypatch.setattr(raycast, "WALK_CROSSINGS", crossings)
+    chunked = raycast._walk(geometry, o, e)
+    assert chunked.shape == whole.shape and chunked.tobytes() == whole.tobytes()
+
+
+def test_trace_memory_is_bounded(monkeypatch):
+    """3600 beams of 8 m on a 400 x 400 grid at 0.05 m: the padded crossings
+    are walked in chunks (99 MB peak when walked at once)."""
+    monkeypatch.setattr(raycast, "_last", raycast._last)  # restored afterwards
+    geo = GridGeometry(0.0, 0.0, 0.05, 400, 400)
+    angles = 2 * math.pi * np.arange(3600) / 3600
+    ends = np.stack([10 + 8 * np.cos(angles), 10 + 8 * np.sin(angles)], axis=1)
+    tracemalloc.start()
+    try:
+        rows = trace_beam(geo, (10.0, 10.0), ends)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape[0] == 3600 and np.allclose(rows["chord"].sum(axis=1), 8.0)
+    assert peak < 40e6
 
 
 class TestErrorRegion:

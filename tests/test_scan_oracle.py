@@ -140,9 +140,13 @@ def test_simulated_beams_equal_per_beam_oracle(geometry):
 
 
 def test_each_scan_function_traces_once(monkeypatch, geometry, sensor, rng):
-    calls = []
+    """One trace per scan function, and each scan's segments are walked
+    once: the simulator walks every beam, ``apply_scan`` only the beams
+    below the maximum range and ``bayes_scan`` none of the same beams."""
+    calls, walked = [], []
     real = lambdafield.raycast.trace_beam
     real_disks = lambdafield.raycast.error_region_cells
+    real_walk = lambdafield.raycast._walk
 
     def counted(*args):
         calls.append(len(np.reshape(args[2], (-1, 2))))
@@ -152,15 +156,27 @@ def test_each_scan_function_traces_once(monkeypatch, geometry, sensor, rng):
         calls.append(("disks", len(args[1])))
         return real_disks(*args)
 
+    def counted_walk(*args):
+        walked.append(len(args[1]))
+        return real_walk(*args)
+
     for module in (lambdafield.sensor, lambdafield.bayes):
         monkeypatch.setattr(module, "trace_beam", counted)
     monkeypatch.setattr(lambdafield.sensor, "error_region_cells", counted_disks)
+    monkeypatch.setattr(lambdafield.raycast, "_walk", counted_walk)
+    monkeypatch.setattr(lambdafield.raycast, "_last",
+                        (None,) + lambdafield.raycast._last[1:])
     truth = GroundTruthMap.uniform(geometry, 0.5)
     beams = simulate_scan(truth, (2.0, 2.0, 0.0), sensor, 90, 0)
-    assert calls == [90]
+    assert calls == [90] and walked == [90]
     hits = sum(b.hit for b in beams)
-    assert 0 < hits < 90
+    returned = sum(b.measured_range < sensor.max_range for b in beams)
+    assert 0 < hits < 90 and 0 < returned < 90
     apply_scan(LambdaGrid(geometry, sensor), beams, sensor)
-    assert calls == [90, 90, ("disks", hits)]
+    assert calls == [90, 90, ("disks", hits)] and walked == [90, returned]
+    bayes_scan(BayesGrid(geometry), beams, sensor)
+    assert calls == [90, 90, ("disks", hits), 90]
+    assert walked == [90, returned, 0]
     bayes_scan(BayesGrid(geometry), random_scan(geometry, rng), sensor)
-    assert calls == [90, 90, ("disks", hits), 151]
+    assert calls == [90, 90, ("disks", hits), 90, 151]
+    assert walked == [90, returned, 0, 151]

@@ -96,6 +96,13 @@ class TestSimulateScan:
             simulate_scan(truth, (99.0, 0.0, 0.0), sensor, 10, 0)
 
 
+@pytest.mark.parametrize("field", ["error_area", "max_range"])
+@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+def test_sensor_model_rejects_non_finite_or_nonpositive(field, value):
+    with pytest.raises(ValueError, match=field):
+        SensorModel(**{field: value})
+
+
 def simulated_beams(resolution: float, lam: float, sensor: SensorModel,
                     seed: int) -> list[Beam]:
     """20 scans of 360 beams from random poses near the middle of a 20 m
