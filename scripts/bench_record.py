@@ -2,7 +2,7 @@
 """Write a performance record: the final JSON line of every declared
 benchmark workload, for a checkout of the parent commit and for this one.
 
-    python3 scripts/bench_record.py --parent ../parent -o BENCH_11.json
+    python3 scripts/bench_record.py --parent ../parent -o BENCH_12.json
 
 Each run is ``bench/run.py --workload W --seed 1 --seconds 30`` in a fresh
 process, one at a time. Per workload the two sides run ``PAIRS`` pairs in
@@ -12,8 +12,9 @@ run's final line in the order run. ``"parent"`` and ``"change"`` give per
 workload whether every run was correct, the ops attempted and failed over
 all runs, and per metric the median and quartiles over the side's runs
 (judge a metric by its median; the quartiles show the run-to-run spread).
-Then each side runs ``TRACED`` once more with ``--trace 1``, whose final line
-holds the per-layer metrics (self times per op); they go under ``"traced"``.
+Then each side runs every workload once more with ``--trace 1``, whose final
+line holds the per-layer metrics (self times per op); they go under
+``"traced"``.
 The record also names the Python and numpy versions and the machine it ran
 on.
 """
@@ -32,7 +33,6 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_ARGS = ["--seed", "1", "--seconds", "30"]
-TRACED = "map-400"
 PAIRS = 3
 
 
@@ -75,7 +75,8 @@ def main() -> None:
         "pairs": PAIRS, "runs": {},
         "parent": {}, "change": {}, "traced": {"parent": {}, "change": {}},
     }
-    for workload in (w["name"] for w in declared["workloads"]):
+    workloads = [w["name"] for w in declared["workloads"]]
+    for workload in workloads:
         runs = record["runs"][workload] = []
         for pair in range(1, PAIRS + 1):
             order = ("parent", "change") if pair % 2 else ("change", "parent")
@@ -87,10 +88,11 @@ def main() -> None:
         for side in checkouts:
             record[side][workload] = summary(
                 [run["line"] for run in runs if run["side"] == side])
-    for side, checkout in checkouts.items():
-        print(f"{side} {TRACED} traced", file=sys.stderr, flush=True)
-        record["traced"][side][TRACED] = final_line(checkout, TRACED,
-                                                    "--trace", "1")
+    for workload in workloads:
+        for side, checkout in checkouts.items():
+            print(f"{side} {workload} traced", file=sys.stderr, flush=True)
+            record["traced"][side][workload] = final_line(checkout, workload,
+                                                          "--trace", "1")
     args.output.write_text(json.dumps(record, indent=2) + "\n")
 
 

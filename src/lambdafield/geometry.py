@@ -74,9 +74,15 @@ class GridGeometry:
 
     def flat_of_points(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Vectorized flat cell indices for world points; raises if any is outside."""
+        flat = self.flat_or_outside(xs, ys)
+        if (flat < 0).any():
+            raise ValueError("point outside grid")
+        return flat
+
+    def flat_or_outside(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Vectorized flat cell indices for world points, -1 for a point
+        outside the grid."""
         cols = np.floor((np.asarray(xs) - self.origin_x) / self.resolution).astype(np.int64)
         rows = np.floor((np.asarray(ys) - self.origin_y) / self.resolution).astype(np.int64)
-        if (cols < 0).any() or (cols >= self.n_cols).any() \
-                or (rows < 0).any() or (rows >= self.n_rows).any():
-            raise ValueError("point outside grid")
-        return rows * self.n_cols + cols
+        inside = (cols >= 0) & (cols < self.n_cols) & (rows >= 0) & (rows < self.n_rows)
+        return np.where(inside, rows * self.n_cols + cols, -1)

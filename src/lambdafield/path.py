@@ -1,5 +1,9 @@
 """Swept-footprint path crossings and collision risk along them.
 
+``sweep_footprints`` rasterises the footprints of many paths in one array
+pass, and ``swept_crossings`` reads the intensity estimates of all their
+crossed cells at once; ``sweep_footprint`` and ``swept_cells`` are their
+one-path cases, and each path's result is the same either way.
 ``risk_terms`` holds the first-collision law along a crossing; the density,
 the expected risk and the risk report all read from it, the last two through
 ``partial_risks``.
@@ -24,12 +28,12 @@ class RobotShape:
     mass: float = 20.0
 
     def __post_init__(self):
-        if not self.width > 0:
-            raise ValueError("width must be > 0")
-        if not self.length >= 0:
-            raise ValueError("length must be >= 0")
-        if not self.mass > 0:
-            raise ValueError("mass must be > 0")
+        if not 0 < self.width < math.inf:
+            raise ValueError(f"width must be finite and > 0, got {self.width}")
+        if not 0 <= self.length < math.inf:
+            raise ValueError(f"length must be finite and >= 0, got {self.length}")
+        if not 0 < self.mass < math.inf:
+            raise ValueError(f"mass must be finite and > 0, got {self.mass}")
 
 
 @dataclass
@@ -81,72 +85,154 @@ class PathCrossing:
 
 
 SAMPLES_PER_CELL = 5
+SWEEP_SAMPLES = 1 << 16     # footprint samples swept at once, about 4 MB of temporaries
 
 
 def swept_cells(grid: LambdaGrid, poses: Sequence[tuple[float, float, float]],
                 shape: RobotShape) -> PathCrossing:
-    """``sweep_footprint`` of the poses, with the grid's three intensity
-    estimates read at the crossed cells alone (the cost follows the path, not
-    the grid). Raises ValueError if the swept footprint leaves the grid."""
-    cells, areas = sweep_footprint(grid.geometry, poses, shape.width)
+    """``swept_crossings`` of one path. Raises ValueError if the swept
+    footprint leaves the grid."""
+    crossing, = swept_crossings(grid, [poses], shape)
+    if crossing is None:
+        raise ValueError("swept path exits grid")
+    return crossing
+
+
+def swept_crossings(grid: LambdaGrid,
+                    paths: Sequence[Sequence[tuple[float, float, float]]],
+                    shape: RobotShape) -> list[PathCrossing | None]:
+    """``sweep_footprints`` of the paths, each with the grid's three
+    intensity estimates at its crossed cells, or None for a path whose swept
+    footprint leaves the grid. The estimates are read once, at the crossed
+    cells of all the paths alone (the cost follows the paths, not the grid)."""
+    sweeps = sweep_footprints(grid.geometry, paths, shape.width)
+    kept = [cells for cells, _ in filter(None, sweeps)]
+    cells = np.concatenate(kept) if kept else np.empty(0, np.int64)
+    lam = grid.lambda_map(cells)
     low, high = grid.bound_maps(cells)
-    return PathCrossing(cells, areas, grid.lambda_map(cells), low, high)
+    out, at = [], 0
+    for sweep in sweeps:
+        if sweep is not None:
+            span = slice(at, at + len(sweep[0]))
+            sweep = PathCrossing(*sweep, lam[span], low[span], high[span])
+            at = span.stop
+        out.append(sweep)
+    return out
 
 
 def sweep_footprint(geometry: GridGeometry,
                     poses: Sequence[tuple[float, float, float]],
                     width: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rasterize the rectangle of ``width`` swept along a polyline.
+    """``sweep_footprints`` of one path. Raises ValueError if any part of the
+    swept footprint leaves the grid."""
+    sweep, = sweep_footprints(geometry, [poses], width)
+    if sweep is None:
+        raise ValueError("swept path exits grid")
+    return sweep
 
-    Returns (flat cell indices in traversal order, crossed area per cell).
+
+def sweep_footprints(geometry: GridGeometry,
+                     paths: Sequence[Sequence[tuple[float, float, float]]],
+                     width: float) -> list[tuple[np.ndarray, np.ndarray] | None]:
+    """Rasterize the rectangle of ``width`` swept along each polyline.
+
+    Returns per path (flat cell indices in traversal order, crossed area per
+    cell), or None if any part of its swept footprint leaves the grid.
     Midpoint supersampling: each step of length ds contributes area
     width * ds split evenly over its sample points, accumulated into the cell
     containing each sample. A cell enters the ordered list at the step that
     first covers it; re-entered cells keep their first slot. Consecutive
-    poses must be closer than one cell diagonal (caller densifies). The
-    samples of all steps are built in one array pass, and ``np.bincount``
-    adds each cell's sample areas in traversal order.
+    poses must be closer than one cell diagonal (caller densifies).
 
-    Raises ValueError if any part of the swept footprint leaves the grid.
+    The steps of all paths are built in one array pass, and a path with a
+    step end far off the grid is dropped before any sample is built.
+    Consecutive paths are then sampled together, up to ``SWEEP_SAMPLES``
+    samples at a time (a larger path alone): one flat-index pass, one
+    ``np.unique`` over the (path, cell) keys that start a run of equal keys,
+    which orders the keys by first occurrence, and one ``np.bincount``, which
+    adds each key's sample areas in traversal order. So each path's result
+    equals a sweep of that path alone, bit for bit.
     """
-    pts = np.asarray(poses, dtype=np.float64)[..., :2].reshape(-1, 2)
+    if len(paths) == 0:
+        return []
     spacing = geometry.resolution / SAMPLES_PER_CELL
     n_w = max(3, int(math.ceil(width / spacing)))
     offsets = ((np.arange(n_w) + 0.5) / n_w - 0.5) * width
 
+    pts = [np.asarray(poses, dtype=np.float64)[..., :2].reshape(-1, 2)
+           for poses in paths]
+    pose_path = np.repeat(np.arange(len(pts)), [len(p) for p in pts])
+    pts = np.concatenate(pts)
     step_vec = np.diff(pts, axis=0)
     ds = np.hypot(step_vec[:, 0], step_vec[:, 1])
-    moves = ds != 0.0
+    # a step joins two poses of one path, and moves
+    moves = (ds != 0.0) & (pose_path[1:] == pose_path[:-1])
+    step_path = pose_path[1:][moves]
     starts, step_vec, ds = pts[:-1][moves], step_vec[moves], ds[moves]
     # A sample lies within spacing/2 + width/2 of each end of a moving step,
-    # so an end farther out of the grid box is rejected before the samples
-    # of a step of any length are allocated.
+    # so a path with an end farther out of the grid box is rejected before
+    # the samples of a step of any length are allocated.
     ends = (np.concatenate([starts, pts[1:][moves]])
             - [geometry.origin_x, geometry.origin_y])
     margin = spacing / 2 + width / 2
-    if ((ends < -margin) | (ends > [geometry.width + margin,
-                                    geometry.height + margin])).any():
-        raise ValueError("swept path exits grid")
+    far = ((ends < -margin) | (ends > [geometry.width + margin,
+                                       geometry.height + margin])).any(axis=1)
+    exits = np.zeros(len(paths), dtype=bool)
+    exits[np.concatenate([step_path, step_path])[far]] = True
+    keep = ~exits[step_path]
+    step_path, starts, step_vec, ds = (step_path[keep], starts[keep],
+                                       step_vec[keep], ds[keep])
     normal = np.column_stack([-step_vec[:, 1], step_vec[:, 0]]) / ds[:, None]
     n_l = np.maximum(1, np.ceil(ds / spacing).astype(np.int64))
-    # one row per sample center: its step, and its position ts along it
-    step = np.repeat(np.arange(len(ds)), n_l)
-    along = np.arange(len(step)) - np.repeat(np.cumsum(n_l) - n_l, n_l)
-    ts = (along + 0.5) / n_l[step]
-    centers = starts[step] + ts[:, None] * step_vec[step]
-    # (centers * n_w, 2) sample points across the footprint width
-    samples = centers[:, None, :] + offsets[None, :, None] * normal[step][:, None, :]
-    samples = samples.reshape(-1, 2)
-    try:
-        flat = geometry.flat_of_points(samples[:, 0], samples[:, 1])
-    except ValueError:
-        raise ValueError("swept path exits grid") from None
     sample_area = width * ds / (n_l * n_w)
-    cells, first, inverse = np.unique(flat, return_index=True,
-                                      return_inverse=True)
-    order = np.argsort(first)
-    areas = np.bincount(inverse, np.repeat(sample_area[step], n_w))
-    return cells[order], areas[order].astype(np.float64)  # int64 if empty
+
+    # consecutive paths whose samples fit in SWEEP_SAMPLES, as step ranges
+    path_samples = np.bincount(step_path, n_l, minlength=len(paths)) * n_w
+    first_step = np.searchsorted(step_path, np.arange(len(paths) + 1))
+    out: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(paths)
+    lo = 0
+    while lo < len(paths):
+        hi, total = lo + 1, path_samples[lo]
+        while hi < len(paths) and total + path_samples[hi] <= SWEEP_SAMPLES:
+            total += path_samples[hi]
+            hi += 1
+        s = slice(first_step[lo], first_step[hi])
+        # one row per sample center: its step, and its position ts along it
+        n = n_l[s]
+        step = np.repeat(np.arange(len(n)), n)
+        along = np.arange(len(step)) - np.repeat(np.cumsum(n) - n, n)
+        ts = (along + 0.5) / n[step]
+        center, tangent, across = starts[s][step], step_vec[s][step], normal[s][step]
+        # (centers, n_w) sample points across the footprint width
+        xs, ys = (center[:, k, None] + ts[:, None] * tangent[:, k, None]
+                  + offsets * across[:, k, None] for k in (0, 1))
+        flat = geometry.flat_or_outside(xs, ys)
+        owner = step_path[s][step]
+        keys = (flat + ((owner - lo) * geometry.n_cells)[:, None]).ravel()
+        weights = np.repeat(sample_area[s][step], n_w)
+        outside = (flat < 0).any(axis=1)
+        if outside.any():
+            exits[owner[outside]] = True
+            inside = np.repeat(~exits[owner], n_w)
+            keys, weights = keys[inside], weights[inside]
+        # a key first occurs at the start of a run of equal keys, so only the
+        # run starts (about one sample in five) are sorted
+        run = np.flatnonzero(np.diff(keys, prepend=-1))
+        keys, first, inverse = np.unique(keys[run], return_index=True,
+                                         return_inverse=True)
+        inverse = np.repeat(inverse, np.diff(run, append=len(weights)))
+        order = np.argsort(first)
+        areas = np.bincount(inverse, weights)[order].astype(np.float64, copy=False)
+        keys = keys[order]
+        local = keys // geometry.n_cells
+        cells = keys - local * geometry.n_cells
+        bounds = np.searchsorted(local, np.arange(hi - lo + 1))
+        for i in range(lo, hi):
+            if not exits[i]:
+                span = slice(bounds[i - lo], bounds[i - lo + 1])
+                out[i] = cells[span], areas[span]
+        lo = hi
+    return out
 
 
 def risk_terms(crossing: PathCrossing, use_bound: str = "mle"

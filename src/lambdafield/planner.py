@@ -1,11 +1,14 @@
 """Trajectory-sampling local planner gated by upper-bound collision risk.
 
-Candidates are constant (v, omega) arcs over a short horizon. Each is scored
+Candidates are constant (v, omega) arcs over a short horizon, in the style
+of the dynamic window approach (Fox, Burgard & Thrun, 1997). Each is scored
 with the 95% upper confidence bound of the intensities of the cells it
-crosses, so a cycle costs the cells its arcs cross, not the grid size; arcs
-whose expected momentum loss exceeds the configured maximum are discarded,
-and the surviving arc closest to a user-supplied global reference path wins.
-When nothing survives the robot stops: that is its only admissible decision.
+crosses; arcs whose expected momentum loss exceeds the configured maximum are
+discarded, and the surviving arc closest to a user-supplied global reference
+path wins. When nothing survives the robot stops: that is its only admissible
+decision. A cycle sweeps the footprints of all its arcs in one pass and reads
+the estimates of their crossed cells once (``path.swept_crossings``), so it
+costs the cells its arcs cross, not the grid size.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import LambdaGrid
-from .path import RobotShape, constant_velocity, expected_risk, momentum_risk, swept_cells
+from .path import (RobotShape, constant_velocity, expected_risk, momentum_risk,
+                   swept_crossings)
 
 DEFAULT_MAX_STEPS = 200
 
@@ -33,14 +37,17 @@ class PlannerConfig:
     goal_tolerance: float = 0.5
 
     def __post_init__(self):
-        if not self.max_risk > 0:
+        if not self.max_risk > 0:  # inf: no risk gate
             raise ValueError("max_risk must be > 0")
         if self.v_samples < 1 or self.omega_samples < 1:
             raise ValueError("need at least one sample per axis")
-        if not (self.v_max > 0 and self.omega_max >= 0):
-            raise ValueError("invalid velocity limits")
-        if not (self.horizon > 0 and self.step > 0):
-            raise ValueError("horizon and step must be > 0")
+        if not (0 < self.v_max < math.inf and 0 <= self.omega_max < math.inf):
+            raise ValueError("velocity limits must be finite, v_max > 0 and "
+                             "omega_max >= 0")
+        if not (0 < self.horizon < math.inf and 0 < self.step < math.inf):
+            raise ValueError("horizon and step must be finite and > 0")
+        if not self.goal_tolerance > 0:
+            raise ValueError("goal_tolerance must be > 0")
 
 
 @dataclass
@@ -124,11 +131,11 @@ def admissible_candidates(grid: LambdaGrid, pose: tuple[float, float, float],
     if not grid.geometry.contains(pose[0], pose[1]):
         raise ValueError("pose outside grid")
     reference = np.asarray(reference_path, dtype=np.float64)[:, :2]
+    candidates = sample_arcs(pose, config)
+    crossings = swept_crossings(grid, [cand.poses for cand in candidates], shape)
     admissible = []
-    for cand in sample_arcs(pose, config):
-        try:
-            crossing = swept_cells(grid, cand.poses, shape)
-        except ValueError:
+    for cand, crossing in zip(candidates, crossings):
+        if crossing is None:
             continue  # arc leaves the mapped area: never admissible
         risk_fn = momentum_risk(shape, constant_velocity(cand.v))
         cand.risk_upper = expected_risk(crossing, risk_fn, use_bound="upper")

@@ -1,11 +1,13 @@
 """Per-beam oracles: the incremental grid walk, the scalar error disk, and
 the per-beam count, log-odds and simulator updates that the scan functions
+must equal; and the per-arc planner cycle that ``admissible_candidates``
 must equal.
 
-Each oracle folds one beam at a time, walking it with ``incremental_walk``,
-the scalar Amanatides & Woo loop, and rasterising its disk with the scalar
-``error_region_cells``, so none of them shares the package's array
-traversal or disk code.
+Each beam oracle folds one beam at a time, walking it with
+``incremental_walk``, the scalar Amanatides & Woo loop, and rasterising its
+disk with the scalar ``error_region_cells``, so none of them shares the
+package's array traversal or disk code. The planner oracle sweeps and reads
+the estimates of one arc at a time.
 """
 
 import math
@@ -14,6 +16,9 @@ import numpy as np
 
 from lambdafield import GridGeometry
 from lambdafield.field import COUNT_MAX
+from lambdafield.path import (constant_velocity, expected_risk, momentum_risk,
+                              swept_cells)
+from lambdafield.planner import sample_arcs
 from lambdafield.raycast import CELL_CHORD
 from lambdafield.sensor import Beam
 
@@ -185,3 +190,27 @@ def simulate_scan(truth, pose, sensor, beam_count: int, seed: int) -> list:
             measured, hit = min(max(r, 1e-9), sensor.max_range), True
         beams.append(Beam((x, y), direction, float(measured), hit))
     return beams
+
+
+def admissible_candidates(grid, pose, reference_path, shape, config) -> list:
+    """The planner cycle one arc at a time: each sampled arc is swept and
+    read with ``swept_cells`` on its own, scored with the upper-bound
+    momentum risk and, if it passes the gate, by its mean distance to the
+    nearest reference pose."""
+    if not grid.geometry.contains(pose[0], pose[1]):
+        raise ValueError("pose outside grid")
+    reference = np.asarray(reference_path, dtype=np.float64)[:, :2]
+    admissible = []
+    for cand in sample_arcs(pose, config):
+        try:
+            crossing = swept_cells(grid, cand.poses, shape)
+        except ValueError:
+            continue  # arc leaves the mapped area: never admissible
+        risk_fn = momentum_risk(shape, constant_velocity(cand.v))
+        cand.risk_upper = expected_risk(crossing, risk_fn, use_bound="upper")
+        if cand.risk_upper > config.max_risk:
+            continue
+        diffs = cand.poses[:, None, :2] - reference[None, :, :]
+        cand.closeness = float(np.mean(np.min(np.linalg.norm(diffs, axis=2), axis=1)))
+        admissible.append(cand)
+    return admissible

@@ -247,6 +247,19 @@ BAD_INPUTS = [
     ("map: ground-truth block corner NaN",
      {"s.yaml": scenario(ground_truth={"blocks": [
          {"box": [2.5, math.nan, 3.0, 4.0], "value": 1.0}]})}, "map s.yaml", 2),
+    *((f"plan: planner {key} {value}",
+       {"s.yaml": scenario(planner={key: value}), "ref.csv": PATH},
+       "plan s.yaml ref.csv", 2)
+      for key, value in (("v_max", math.inf), ("omega_max", math.inf),
+                         ("horizon", math.inf), ("step", math.inf),
+                         ("goal_tolerance", 0.0))),
+    *((f"map: robot {key} inf", {"s.yaml": scenario(robot={key: math.inf})},
+       "map s.yaml", 2) for key in ("width", "length", "mass")),
+    *((f"eval-path: {flag} inf", {"p.csv": PATH},
+       f"eval-path {{mapped}}/lambda_grid.dump p.csv {flag} inf", 2)
+      for flag in ("--width", "--mass")),
+    ("eval-path bayes: --width inf", {"p.csv": PATH},
+     "eval-path {mapped}/bayes_grid.dump p.csv --engine bayes --width inf", 2),
     ("plan: empty reference", {"s.yaml": scenario(), "ref.csv": path_text([])},
      "plan s.yaml ref.csv", 2),
     ("plan: reference starts outside the grid",
@@ -362,6 +375,19 @@ class TestPlan:
         risks = [float(line.split(",")[3]) for line in log
                  if not line.endswith(",1")]
         assert all(r <= 1.0 for r in risks)
+
+    def test_infinite_max_risk_turns_the_gate_off(self, runner, tmp_path):
+        (tmp_path / "s.yaml").write_text(scenario(planner={
+            "v_samples": 3, "omega_samples": 3, "max_steps": 5,
+            "max_risk": math.inf}))
+        ref = write_path(tmp_path, np.arange(2.3, 3.5, 0.1), 2.0)
+        out = tmp_path / "plan"
+        result = runner.invoke(main, ["plan", str(tmp_path / "s.yaml"), ref,
+                                      "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        log = (out / "planner_log.csv").read_text().strip().splitlines()[1:]
+        # the start lies in front of the wall that stops the gated planner
+        assert log and not any(line.endswith(",1") for line in log)
 
     def test_same_seed_bitwise_identical(self, runner, tmp_path):
         scen = write_scenario(tmp_path, max_steps=10)

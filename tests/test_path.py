@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from lambdafield import (GridGeometry, LambdaGrid, PathCrossing, RobotShape,
                          SensorModel, collision_pdf, constant_velocity,
                          expected_risk, momentum_risk,
                          path_collision_probability, swept_cells)
-from lambdafield import field
-from lambdafield.path import SAMPLES_PER_CELL, sweep_footprint
+from lambdafield import field, path
+from lambdafield.path import SAMPLES_PER_CELL, sweep_footprint, sweep_footprints
 
 
 def straight_poses(x0, x1, y, step=0.05):
@@ -123,9 +124,18 @@ def polylines(draw):
 
 def _sweep_outcome(sweep, geometry, poses, width):
     try:
-        cells, areas = sweep(geometry, poses, width)
+        result = sweep(geometry, poses, width)
     except ValueError as err:
         return str(err)
+    return _outcome(result)
+
+
+def _outcome(sweep):
+    """Dtypes and bytes of a sweep's cells and areas; for None, the error a
+    one-path sweep raises."""
+    if sweep is None:
+        return "swept path exits grid"
+    cells, areas = sweep
     return cells.dtype, cells.tobytes(), areas.dtype, areas.tobytes()
 
 
@@ -143,6 +153,58 @@ class TestSweepFootprint:
                                 round(3.0 / resolution))
         assert (_sweep_outcome(sweep_footprint, geometry, poses, width)
                 == _sweep_outcome(_sweep_oracle, geometry, poses, width))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([0.05, 0.1, 0.2]), st.lists(polylines(), max_size=6),
+           st.floats(0.05, 0.8), st.sampled_from([1, 400, path.SWEEP_SAMPLES]))
+    @example(0.1, [], 0.4, path.SWEEP_SAMPLES)
+    @example(0.1, [[], [(1.0, 1.0, 0.0)], [(3.9, 1.0, 0.0), (4.1, 1.0, 0.0)],
+                   [(1.0, 1.0, 0.0), (1.1, 1.0, 0.0)]], 0.4, path.SWEEP_SAMPLES)
+    def test_batch_matches_per_step_oracle(self, resolution, paths, width,
+                                           batch):
+        """Each path of one call gives the oracle's cells, order and area
+        bytes, or None where the oracle raises, however many paths share a
+        pass (``SWEEP_SAMPLES`` of 1 sweeps every path alone)."""
+        geometry = GridGeometry(0.0, 0.0, resolution, round(4.0 / resolution),
+                                round(3.0 / resolution))
+        with mock.patch.object(path, "SWEEP_SAMPLES", batch):
+            sweeps = sweep_footprints(geometry, paths, width)
+        assert ([_outcome(sweep) for sweep in sweeps]
+                == [_sweep_outcome(_sweep_oracle, geometry, poses, width)
+                    for poses in paths])
+
+    def test_far_off_grid_path_in_batch_dropped_before_allocating(self):
+        """A path whose step ends 1000 m off the grid gives None without
+        building its samples; the paths around it are still swept."""
+        geometry = GridGeometry(0.0, 0.0, 0.05, 80, 80)
+        near = straight_poses(1.0, 1.5, 2.0)
+        far = [(2.0, 2.0, 0.0), (1004.0, 2.0, 0.0)]
+        tracemalloc.start()
+        try:
+            sweeps = sweep_footprints(geometry, [near, far, near], 0.4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, peak
+        assert sweeps[1] is None
+        alone = _sweep_outcome(sweep_footprint, geometry, near, 0.4)
+        assert len(sweeps[0][0]) > 0
+        assert _outcome(sweeps[0]) == _outcome(sweeps[2]) == alone
+
+    def test_batch_temporaries_bounded(self):
+        """Paths are sampled ``SWEEP_SAMPLES`` at a time: 60 paths of 2000
+        samples each peak near one pass of 4096 samples, not 120 000."""
+        geometry = GridGeometry(0.0, 0.0, 0.05, 80, 80)
+        paths = [straight_poses(1.0, 1.5, 1.0 + 0.02 * k) for k in range(60)]
+        with mock.patch.object(path, "SWEEP_SAMPLES", 1 << 12):
+            tracemalloc.start()
+            try:
+                sweeps = sweep_footprints(geometry, paths, 0.4)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert all(sweep is not None for sweep in sweeps)
+        assert peak < 1e6, peak
 
     def test_far_off_grid_pose_rejected_before_allocating(self):
         """A step that ends 1000 m off the grid is rejected without building

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from lambdafield import (GridGeometry, LambdaGrid, PlannerConfig, RobotShape,
-                         SensorModel, plan_step, run_episode, sample_arcs)
-from lambdafield.planner import integrate_arc
+                         SensorModel, plan_step, run_episode, sample_arcs,
+                         swept_cells)
+from lambdafield import field
+from lambdafield.planner import admissible_candidates, integrate_arc
+import oracle
 
 
 @pytest.fixture
@@ -28,6 +31,24 @@ def block(grid, x0, x1, y0, y1):
             i = geo.flat(col, row)
             grid.hits[i] = 100
             grid.misses[i] = 0
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("key,value", [
+        ("v_max", math.inf), ("v_max", math.nan), ("omega_max", math.inf),
+        ("horizon", math.inf), ("step", math.inf), ("goal_tolerance", 0.0),
+        ("goal_tolerance", math.nan), ("max_risk", 0.0)])
+    def test_rejects(self, key, value):
+        with pytest.raises(ValueError):
+            PlannerConfig(**{key: value})
+
+    def test_infinite_max_risk_and_goal_tolerance_allowed(self):
+        PlannerConfig(max_risk=math.inf, goal_tolerance=math.inf)
+
+    @pytest.mark.parametrize("key", ["width", "length", "mass"])
+    def test_shape_rejects_infinite(self, key):
+        with pytest.raises(ValueError):
+            RobotShape(**{key: math.inf})
 
 
 class TestSampleArcs:
@@ -136,6 +157,90 @@ class TestPlanStep:
         if chosen is not None:
             assert chosen.risk_upper <= cfg.max_risk
             assert chosen.endpoint[1] < 2.1
+
+
+def _scores(candidates):
+    """(v, omega, risk_upper, closeness) of each arc, floats as hex."""
+    return [(c.v.hex(), c.omega.hex(), c.risk_upper.hex(), c.closeness.hex())
+            for c in candidates]
+
+
+class TestAdmissibleCandidates:
+    def test_matches_per_arc_oracle(self, rng):
+        """Over 40 seeded poses and configs on a random field, the cycle
+        admits the arcs of the per-arc oracle with bit-equal upper-bound
+        risk and closeness, also in cycles where arcs leave the grid."""
+        geo = GridGeometry(-1.0, 0.5, 0.05, 90, 70)
+        grid = LambdaGrid(geo, SensorModel())
+        grid.misses[:] = rng.integers(0, 200, geo.n_cells)
+        grid.hits[:] = rng.integers(0, 3, geo.n_cells) * (rng.random(geo.n_cells) < 0.2)
+        shape = RobotShape(0.4, 0.6, 20.0)
+        left = out_of_grid = over_budget = 0
+        for k in range(40):
+            config = PlannerConfig(max_risk=(0.5, 2.0, math.inf)[k % 3],
+                                   v_samples=int(rng.integers(1, 6)),
+                                   omega_samples=int(rng.integers(1, 6)))
+            pose = (geo.origin_x + rng.random() * geo.width,
+                    geo.origin_y + rng.random() * geo.height,
+                    rng.random() * 2 * math.pi)
+            ref = np.column_stack([pose[0] + np.linspace(0.0, 3.0, 30),
+                                   np.full(30, pose[1]), np.zeros(30)])
+            got = admissible_candidates(grid, pose, ref, shape, config)
+            want = oracle.admissible_candidates(grid, pose, ref, shape, config)
+            assert _scores(got) == _scores(want)
+            for got_arc, want_arc in zip(got, want):
+                np.testing.assert_array_equal(got_arc.poses, want_arc.poses)
+            arcs = sample_arcs(pose, config)
+            in_grid = 0
+            for arc in arcs:
+                try:
+                    swept_cells(grid, arc.poses, shape)
+                    in_grid += 1
+                except ValueError:
+                    pass
+            left += in_grid < len(arcs)
+            out_of_grid += in_grid == 0
+            over_budget += len(want) < in_grid
+        # the poses cover cycles with some and with all arcs off the grid,
+        # and cycles where the gate drops arcs
+        assert left >= 5 and out_of_grid >= 1 and over_budget >= 5
+
+    def test_reads_estimates_once_at_crossed_cells(self, monkeypatch):
+        """On a 2000 x 2000 grid one cycle calls each estimator once, with
+        the counts of exactly the cells its in-grid arcs cross, in arc
+        order."""
+        geo = GridGeometry(0.0, 0.0, 0.05, 2000, 2000)
+        grid = LambdaGrid(geo, SensorModel())
+        rng = np.random.default_rng(7)
+        grid.hits[:] = rng.integers(0, 1000, geo.n_cells)
+        grid.misses[:] = rng.integers(0, 1000, geo.n_cells)
+        seen = {"_mle": [], "_bounds": []}
+        for name in seen:
+            def spy(h, m, *args, real=getattr(field, name), calls=seen[name]):
+                calls.append((h.copy(), m.copy()))
+                return real(h, m, *args)
+            monkeypatch.setattr(field, name, spy)
+        # heading west from near the edge: the slow arcs stay on the grid,
+        # the fast ones leave it
+        pose = (0.6, 50.0, math.pi)
+        shape = RobotShape(0.4, 0.6, 20.0)
+        config = PlannerConfig(max_risk=math.inf)
+        cells = []
+        for arc in sample_arcs(pose, config):
+            try:
+                cells.append(swept_cells(grid, arc.poses, shape).cells)
+            except ValueError:
+                pass
+        assert 0 < len(cells) < len(sample_arcs(pose, config))
+        cells = np.concatenate(cells)
+        for calls in seen.values():
+            calls.clear()
+        admissible_candidates(grid, pose, np.zeros((1, 3)), shape, config)
+        for calls in seen.values():
+            assert len(calls) == 1
+            h, m = calls[0]
+            np.testing.assert_array_equal(h, grid.hits[cells])
+            np.testing.assert_array_equal(m, grid.misses[cells])
 
 
 class TestRunEpisode:
