@@ -33,7 +33,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_ARGS = ["--seed", "1", "--seconds", "30"]
-PAIRS = 3
+PAIRS = 10
 
 
 def final_line(checkout: Path, workload: str, *extra: str) -> dict:

@@ -7,7 +7,7 @@ from .field import (CellStats, ConfidenceInterval, LambdaGrid, SensorModel,
 from .geometry import GridGeometry
 from .path import (PathCrossing, RobotShape, collision_pdf, constant_velocity,
                    expected_risk, momentum_risk, path_collision_probability,
-                   swept_cells, swept_crossings)
+                   swept_cells)
 from .planner import (PlannerConfig, TrajectoryCandidate, plan_step, run_episode,
                       sample_arcs)
 from .raycast import error_region_cells, trace_beam
@@ -21,6 +21,5 @@ __all__ = [
     "confidence_bounds", "constant_velocity", "error_region_cells",
     "expected_risk", "lambda_from_count", "lambda_mle", "momentum_risk",
     "naive_path_probability", "path_collision_probability", "plan_step",
-    "run_episode", "sample_arcs", "simulate_scan", "swept_cells",
-    "swept_crossings", "trace_beam",
+    "run_episode", "sample_arcs", "simulate_scan", "swept_cells", "trace_beam",
 ]

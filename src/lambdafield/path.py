@@ -1,9 +1,9 @@
 """Swept-footprint path crossings and collision risk along them.
 
 ``sweep_footprints`` rasterises the footprints of many paths in one array
-pass, and ``swept_crossings`` reads the intensity estimates of all their
-crossed cells at once; ``sweep_footprint`` and ``swept_cells`` are their
-one-path cases, and each path's result is the same either way.
+pass and keeps them for the next call; ``sweep_footprint`` is its one-path
+case, and each path's result is the same either way. ``swept_cells`` adds
+the intensity estimates at a path's crossed cells.
 ``risk_terms`` holds the first-collision law along a crossing; the density,
 the expected risk and the risk report all read from it, the last two through
 ``partial_risks``.
@@ -86,38 +86,19 @@ class PathCrossing:
 
 SAMPLES_PER_CELL = 5
 SWEEP_SAMPLES = 1 << 16     # footprint samples swept at once, about 4 MB of temporaries
+# sweep_footprints' last call that swept a path: (geometry, width, and per
+# path (cells, areas) or None, keyed by the bytes of its (n, 2) x/y array)
+_last = (None, math.nan, {})
 
 
 def swept_cells(grid: LambdaGrid, poses: Sequence[tuple[float, float, float]],
                 shape: RobotShape) -> PathCrossing:
-    """``swept_crossings`` of one path. Raises ValueError if the swept
-    footprint leaves the grid."""
-    crossing, = swept_crossings(grid, [poses], shape)
-    if crossing is None:
-        raise ValueError("swept path exits grid")
-    return crossing
-
-
-def swept_crossings(grid: LambdaGrid,
-                    paths: Sequence[Sequence[tuple[float, float, float]]],
-                    shape: RobotShape) -> list[PathCrossing | None]:
-    """``sweep_footprints`` of the paths, each with the grid's three
-    intensity estimates at its crossed cells, or None for a path whose swept
-    footprint leaves the grid. The estimates are read once, at the crossed
-    cells of all the paths alone (the cost follows the paths, not the grid)."""
-    sweeps = sweep_footprints(grid.geometry, paths, shape.width)
-    kept = [cells for cells, _ in filter(None, sweeps)]
-    cells = np.concatenate(kept) if kept else np.empty(0, np.int64)
-    lam = grid.lambda_map(cells)
+    """``sweep_footprint`` of the poses, with the grid's three intensity
+    estimates read at the crossed cells alone (the cost follows the path, not
+    the grid). Raises ValueError if the swept footprint leaves the grid."""
+    cells, areas = sweep_footprint(grid.geometry, poses, shape.width)
     low, high = grid.bound_maps(cells)
-    out, at = [], 0
-    for sweep in sweeps:
-        if sweep is not None:
-            span = slice(at, at + len(sweep[0]))
-            sweep = PathCrossing(*sweep, lam[span], low[span], high[span])
-            at = span.stop
-        out.append(sweep)
-    return out
+    return PathCrossing(cells, areas, grid.lambda_map(cells), low, high)
 
 
 def sweep_footprint(geometry: GridGeometry,
@@ -144,24 +125,49 @@ def sweep_footprints(geometry: GridGeometry,
     first covers it; re-entered cells keep their first slot. Consecutive
     poses must be closer than one cell diagonal (caller densifies).
 
+    The paths are swept together in one array pass (``_sweep``), and each
+    path's result equals a sweep of that path alone, bit for bit. The
+    results of the last call that swept a path are kept: a path whose
+    geometry, width and x/y bits equal one of that call's paths is not
+    swept again, and a call that finds all its paths there keeps them. So
+    the planner sweeps a cycle's arcs in one call and then reads each arc
+    through ``swept_cells`` without sweeping it again. Every result is a
+    fresh array the caller may change.
+    """
+    global _last
+    pts = [np.asarray(poses, dtype=np.float64)[..., :2].reshape(-1, 2)
+           for poses in paths]
+    keys = [p.tobytes() for p in pts]
+    last_geometry, last_width, kept = _last
+    if last_geometry != geometry or last_width != width:
+        kept = {}
+    new = {key: p for key, p in zip(keys, pts) if key not in kept}
+    if new:
+        kept = {key: kept[key] for key in keys if key in kept}
+        kept.update(zip(new, _sweep(geometry, list(new.values()), width)))
+        _last = (geometry, width, kept)
+    return [None if kept[key] is None else (kept[key][0].copy(), kept[key][1].copy())
+            for key in keys]
+
+
+def _sweep(geometry: GridGeometry, pts: list[np.ndarray],
+           width: float) -> list[tuple[np.ndarray, np.ndarray] | None]:
+    """``sweep_footprints`` of the (n, 2) point arrays, with no reuse.
+
     The steps of all paths are built in one array pass, and a path with a
     step end far off the grid is dropped before any sample is built.
     Consecutive paths are then sampled together, up to ``SWEEP_SAMPLES``
     samples at a time (a larger path alone): one flat-index pass, one
-    ``np.unique`` over the (path, cell) keys that start a run of equal keys,
-    which orders the keys by first occurrence, and one ``np.bincount``, which
-    adds each key's sample areas in traversal order. So each path's result
-    equals a sweep of that path alone, bit for bit.
+    ``np.unique`` over the (path, cell) keys, ordered by first occurrence,
+    and one ``np.bincount``, which adds each key's sample areas in traversal
+    order.
     """
-    if len(paths) == 0:
-        return []
     spacing = geometry.resolution / SAMPLES_PER_CELL
     n_w = max(3, int(math.ceil(width / spacing)))
     offsets = ((np.arange(n_w) + 0.5) / n_w - 0.5) * width
 
-    pts = [np.asarray(poses, dtype=np.float64)[..., :2].reshape(-1, 2)
-           for poses in paths]
-    pose_path = np.repeat(np.arange(len(pts)), [len(p) for p in pts])
+    n_paths = len(pts)
+    pose_path = np.repeat(np.arange(n_paths), [len(p) for p in pts])
     pts = np.concatenate(pts)
     step_vec = np.diff(pts, axis=0)
     ds = np.hypot(step_vec[:, 0], step_vec[:, 1])
@@ -177,7 +183,7 @@ def sweep_footprints(geometry: GridGeometry,
     margin = spacing / 2 + width / 2
     far = ((ends < -margin) | (ends > [geometry.width + margin,
                                        geometry.height + margin])).any(axis=1)
-    exits = np.zeros(len(paths), dtype=bool)
+    exits = np.zeros(n_paths, dtype=bool)
     exits[np.concatenate([step_path, step_path])[far]] = True
     keep = ~exits[step_path]
     step_path, starts, step_vec, ds = (step_path[keep], starts[keep],
@@ -187,13 +193,13 @@ def sweep_footprints(geometry: GridGeometry,
     sample_area = width * ds / (n_l * n_w)
 
     # consecutive paths whose samples fit in SWEEP_SAMPLES, as step ranges
-    path_samples = np.bincount(step_path, n_l, minlength=len(paths)) * n_w
-    first_step = np.searchsorted(step_path, np.arange(len(paths) + 1))
-    out: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(paths)
+    path_samples = np.bincount(step_path, n_l, minlength=n_paths) * n_w
+    first_step = np.searchsorted(step_path, np.arange(n_paths + 1))
+    out: list[tuple[np.ndarray, np.ndarray] | None] = [None] * n_paths
     lo = 0
-    while lo < len(paths):
+    while lo < n_paths:
         hi, total = lo + 1, path_samples[lo]
-        while hi < len(paths) and total + path_samples[hi] <= SWEEP_SAMPLES:
+        while hi < n_paths and total + path_samples[hi] <= SWEEP_SAMPLES:
             total += path_samples[hi]
             hi += 1
         s = slice(first_step[lo], first_step[hi])
@@ -215,12 +221,8 @@ def sweep_footprints(geometry: GridGeometry,
             exits[owner[outside]] = True
             inside = np.repeat(~exits[owner], n_w)
             keys, weights = keys[inside], weights[inside]
-        # a key first occurs at the start of a run of equal keys, so only the
-        # run starts (about one sample in five) are sorted
-        run = np.flatnonzero(np.diff(keys, prepend=-1))
-        keys, first, inverse = np.unique(keys[run], return_index=True,
+        keys, first, inverse = np.unique(keys, return_index=True,
                                          return_inverse=True)
-        inverse = np.repeat(inverse, np.diff(run, append=len(weights)))
         order = np.argsort(first)
         areas = np.bincount(inverse, weights)[order].astype(np.float64, copy=False)
         keys = keys[order]

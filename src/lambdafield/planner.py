@@ -6,8 +6,9 @@ with the 95% upper confidence bound of the intensities of the cells it
 crosses; arcs whose expected momentum loss exceeds the configured maximum are
 discarded, and the surviving arc closest to a user-supplied global reference
 path wins. When nothing survives the robot stops: that is its only admissible
-decision. A cycle sweeps the footprints of all its arcs in one pass and reads
-the estimates of their crossed cells once (``path.swept_crossings``), so it
+decision. A cycle sweeps the footprints of all its arcs in one pass
+(``path.sweep_footprints``), and each arc's ``swept_cells`` reuses its
+footprint and reads the estimates at its crossed cells alone, so a cycle
 costs the cells its arcs cross, not the grid size.
 """
 
@@ -20,9 +21,10 @@ import numpy as np
 
 from .field import LambdaGrid
 from .path import (RobotShape, constant_velocity, expected_risk, momentum_risk,
-                   swept_crossings)
+                   sweep_footprints, swept_cells)
 
 DEFAULT_MAX_STEPS = 200
+MAX_ARC_STEPS = 10_000      # longest arc a config may ask for, v_max * horizon / step
 
 
 @dataclass(frozen=True)
@@ -48,6 +50,9 @@ class PlannerConfig:
             raise ValueError("horizon and step must be finite and > 0")
         if not self.goal_tolerance > 0:
             raise ValueError("goal_tolerance must be > 0")
+        if not self.v_max * self.horizon / self.step <= MAX_ARC_STEPS:
+            raise ValueError(f"v_max * horizon / step must be at most "
+                             f"{MAX_ARC_STEPS} steps per arc")
 
 
 @dataclass
@@ -132,10 +137,14 @@ def admissible_candidates(grid: LambdaGrid, pose: tuple[float, float, float],
         raise ValueError("pose outside grid")
     reference = np.asarray(reference_path, dtype=np.float64)[:, :2]
     candidates = sample_arcs(pose, config)
-    crossings = swept_crossings(grid, [cand.poses for cand in candidates], shape)
+    # one pass over every arc's footprint, which swept_cells then reuses
+    sweep_footprints(grid.geometry, [cand.poses for cand in candidates],
+                     shape.width)
     admissible = []
-    for cand, crossing in zip(candidates, crossings):
-        if crossing is None:
+    for cand in candidates:
+        try:
+            crossing = swept_cells(grid, cand.poses, shape)
+        except ValueError:
             continue  # arc leaves the mapped area: never admissible
         risk_fn = momentum_risk(shape, constant_velocity(cand.v))
         cand.risk_upper = expected_risk(crossing, risk_fn, use_bound="upper")

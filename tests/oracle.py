@@ -1,13 +1,14 @@
 """Per-beam oracles: the incremental grid walk, the scalar error disk, and
 the per-beam count, log-odds and simulator updates that the scan functions
-must equal; and the per-arc planner cycle that ``admissible_candidates``
-must equal.
+must equal; and the per-step footprint sweep and the per-arc planner cycle
+that ``sweep_footprints`` and ``admissible_candidates`` must equal.
 
 Each beam oracle folds one beam at a time, walking it with
 ``incremental_walk``, the scalar Amanatides & Woo loop, and rasterising its
 disk with the scalar ``error_region_cells``, so none of them shares the
-package's array traversal or disk code. The planner oracle sweeps and reads
-the estimates of one arc at a time.
+package's array traversal or disk code. The sweep oracle samples one step
+at a time, and the planner oracle sweeps and reads one arc at a time with
+it.
 """
 
 import math
@@ -16,8 +17,8 @@ import numpy as np
 
 from lambdafield import GridGeometry
 from lambdafield.field import COUNT_MAX
-from lambdafield.path import (constant_velocity, expected_risk, momentum_risk,
-                              swept_cells)
+from lambdafield.path import (SAMPLES_PER_CELL, PathCrossing,
+                              constant_velocity, expected_risk, momentum_risk)
 from lambdafield.planner import sample_arcs
 from lambdafield.raycast import CELL_CHORD
 from lambdafield.sensor import Beam
@@ -193,8 +194,8 @@ def simulate_scan(truth, pose, sensor, beam_count: int, seed: int) -> list:
 
 
 def admissible_candidates(grid, pose, reference_path, shape, config) -> list:
-    """The planner cycle one arc at a time: each sampled arc is swept and
-    read with ``swept_cells`` on its own, scored with the upper-bound
+    """The planner cycle one arc at a time: each sampled arc is swept with
+    ``sweep_footprint`` on its own, read at its crossed cells, scored with the upper-bound
     momentum risk and, if it passes the gate, by its mean distance to the
     nearest reference pose."""
     if not grid.geometry.contains(pose[0], pose[1]):
@@ -203,9 +204,11 @@ def admissible_candidates(grid, pose, reference_path, shape, config) -> list:
     admissible = []
     for cand in sample_arcs(pose, config):
         try:
-            crossing = swept_cells(grid, cand.poses, shape)
+            cells, areas = sweep_footprint(grid.geometry, cand.poses, shape.width)
         except ValueError:
             continue  # arc leaves the mapped area: never admissible
+        crossing = PathCrossing(cells, areas, grid.lambda_map(cells),
+                                *grid.bound_maps(cells))
         risk_fn = momentum_risk(shape, constant_velocity(cand.v))
         cand.risk_upper = expected_risk(crossing, risk_fn, use_bound="upper")
         if cand.risk_upper > config.max_risk:
@@ -214,3 +217,36 @@ def admissible_candidates(grid, pose, reference_path, shape, config) -> list:
         cand.closeness = float(np.mean(np.min(np.linalg.norm(diffs, axis=2), axis=1)))
         admissible.append(cand)
     return admissible
+
+
+def sweep_footprint(geometry, poses, width):
+    """Oracle: the swept footprint one step at a time, with a running sum per
+    cell in a dict whose insertion order is the traversal order, that
+    ``path.sweep_footprints`` must equal bit for bit."""
+    pts = np.asarray([(p[0], p[1]) for p in poses], dtype=np.float64)
+    spacing = geometry.resolution / SAMPLES_PER_CELL
+    n_w = max(3, int(math.ceil(width / spacing)))
+    offsets = ((np.arange(n_w) + 0.5) / n_w - 0.5) * width
+    areas = {}
+    for a, b in zip(pts[:-1], pts[1:]):
+        step_vec = b - a
+        ds = float(np.hypot(*step_vec))
+        if ds == 0.0:
+            continue
+        tangent = step_vec / ds
+        normal = np.array([-tangent[1], tangent[0]])
+        n_l = max(1, int(math.ceil(ds / spacing)))
+        ts = (np.arange(n_l) + 0.5) / n_l
+        centers = a[None, :] + ts[:, None] * step_vec[None, :]
+        samples = (centers[:, None, :]
+                   + offsets[None, :, None] * normal[None, None, :])
+        samples = samples.reshape(-1, 2)
+        try:
+            flat = geometry.flat_of_points(samples[:, 0], samples[:, 1])
+        except ValueError:
+            raise ValueError("swept path exits grid") from None
+        sample_area = width * ds / (n_l * n_w)
+        for idx in flat.tolist():
+            areas[idx] = areas.get(idx, 0.0) + sample_area
+    return (np.fromiter(areas.keys(), dtype=np.int64, count=len(areas)),
+            np.fromiter(areas.values(), dtype=np.float64, count=len(areas)))

@@ -253,6 +253,12 @@ BAD_INPUTS = [
       for key, value in (("v_max", math.inf), ("omega_max", math.inf),
                          ("horizon", math.inf), ("step", math.inf),
                          ("goal_tolerance", 0.0))),
+    ("plan: planner arcs of 2e7 steps",
+     {"s.yaml": scenario(planner={"v_max": 1e6}), "ref.csv": PATH},
+     "plan s.yaml ref.csv", 2),
+    ("plan: planner arc length overflows",
+     {"s.yaml": scenario(planner={"v_max": 1e300, "horizon": 1e300}),
+      "ref.csv": PATH}, "plan s.yaml ref.csv", 2),
     *((f"map: robot {key} inf", {"s.yaml": scenario(robot={key: math.inf})},
        "map s.yaml", 2) for key in ("width", "length", "mass")),
     *((f"eval-path: {flag} inf", {"p.csv": PATH},

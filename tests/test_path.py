@@ -13,7 +13,8 @@ from lambdafield import (GridGeometry, LambdaGrid, PathCrossing, RobotShape,
                          expected_risk, momentum_risk,
                          path_collision_probability, swept_cells)
 from lambdafield import field, path
-from lambdafield.path import SAMPLES_PER_CELL, sweep_footprint, sweep_footprints
+from lambdafield.path import sweep_footprint, sweep_footprints
+import oracle
 
 
 def straight_poses(x0, x1, y, step=0.05):
@@ -76,38 +77,6 @@ class TestSweptCells:
         assert (np.diff(crossing.cumulative_areas()) > 0).all()
 
 
-def _sweep_oracle(geometry, poses, width):
-    """Reference sweep: one step at a time, with a running sum per cell in a
-    dict whose insertion order is the traversal order."""
-    pts = np.asarray([(p[0], p[1]) for p in poses], dtype=np.float64)
-    spacing = geometry.resolution / SAMPLES_PER_CELL
-    n_w = max(3, int(math.ceil(width / spacing)))
-    offsets = ((np.arange(n_w) + 0.5) / n_w - 0.5) * width
-    areas = {}
-    for a, b in zip(pts[:-1], pts[1:]):
-        step_vec = b - a
-        ds = float(np.hypot(*step_vec))
-        if ds == 0.0:
-            continue
-        tangent = step_vec / ds
-        normal = np.array([-tangent[1], tangent[0]])
-        n_l = max(1, int(math.ceil(ds / spacing)))
-        ts = (np.arange(n_l) + 0.5) / n_l
-        centers = a[None, :] + ts[:, None] * step_vec[None, :]
-        samples = (centers[:, None, :]
-                   + offsets[None, :, None] * normal[None, None, :])
-        samples = samples.reshape(-1, 2)
-        try:
-            flat = geometry.flat_of_points(samples[:, 0], samples[:, 1])
-        except ValueError:
-            raise ValueError("swept path exits grid") from None
-        sample_area = width * ds / (n_l * n_w)
-        for idx in flat.tolist():
-            areas[idx] = areas.get(idx, 0.0) + sample_area
-    return (np.fromiter(areas.keys(), dtype=np.int64, count=len(areas)),
-            np.fromiter(areas.values(), dtype=np.float64, count=len(areas)))
-
-
 @st.composite
 def polylines(draw):
     """A walk of up to 15 poses from a start inside, on or beyond the edge of
@@ -120,6 +89,12 @@ def polylines(draw):
             x += draw(st.floats(-0.15, 0.15))
             y += draw(st.floats(-0.15, 0.15))
     return poses
+
+
+def no_kept_sweeps():
+    """Patches away ``sweep_footprints``' kept results, so that every path
+    is swept."""
+    return mock.patch.object(path, "_last", (None, math.nan, {}))
 
 
 def _sweep_outcome(sweep, geometry, poses, width):
@@ -151,8 +126,10 @@ class TestSweepFootprint:
         """Same cells, order and areas bitwise, or the same ValueError."""
         geometry = GridGeometry(0.0, 0.0, resolution, round(4.0 / resolution),
                                 round(3.0 / resolution))
-        assert (_sweep_outcome(sweep_footprint, geometry, poses, width)
-                == _sweep_outcome(_sweep_oracle, geometry, poses, width))
+        with no_kept_sweeps():
+            got = _sweep_outcome(sweep_footprint, geometry, poses, width)
+        assert got == _sweep_outcome(oracle.sweep_footprint, geometry, poses,
+                                     width)
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from([0.05, 0.1, 0.2]), st.lists(polylines(), max_size=6),
@@ -167,10 +144,10 @@ class TestSweepFootprint:
         pass (``SWEEP_SAMPLES`` of 1 sweeps every path alone)."""
         geometry = GridGeometry(0.0, 0.0, resolution, round(4.0 / resolution),
                                 round(3.0 / resolution))
-        with mock.patch.object(path, "SWEEP_SAMPLES", batch):
+        with mock.patch.object(path, "SWEEP_SAMPLES", batch), no_kept_sweeps():
             sweeps = sweep_footprints(geometry, paths, width)
         assert ([_outcome(sweep) for sweep in sweeps]
-                == [_sweep_outcome(_sweep_oracle, geometry, poses, width)
+                == [_sweep_outcome(oracle.sweep_footprint, geometry, poses, width)
                     for poses in paths])
 
     def test_far_off_grid_path_in_batch_dropped_before_allocating(self):
@@ -179,15 +156,16 @@ class TestSweepFootprint:
         geometry = GridGeometry(0.0, 0.0, 0.05, 80, 80)
         near = straight_poses(1.0, 1.5, 2.0)
         far = [(2.0, 2.0, 0.0), (1004.0, 2.0, 0.0)]
-        tracemalloc.start()
-        try:
-            sweeps = sweep_footprints(geometry, [near, far, near], 0.4)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        with no_kept_sweeps():
+            tracemalloc.start()
+            try:
+                sweeps = sweep_footprints(geometry, [near, far, near], 0.4)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         assert peak < 1e6, peak
         assert sweeps[1] is None
-        alone = _sweep_outcome(sweep_footprint, geometry, near, 0.4)
+        alone = _sweep_outcome(oracle.sweep_footprint, geometry, near, 0.4)
         assert len(sweeps[0][0]) > 0
         assert _outcome(sweeps[0]) == _outcome(sweeps[2]) == alone
 
@@ -196,7 +174,7 @@ class TestSweepFootprint:
         samples each peak near one pass of 4096 samples, not 120 000."""
         geometry = GridGeometry(0.0, 0.0, 0.05, 80, 80)
         paths = [straight_poses(1.0, 1.5, 1.0 + 0.02 * k) for k in range(60)]
-        with mock.patch.object(path, "SWEEP_SAMPLES", 1 << 12):
+        with mock.patch.object(path, "SWEEP_SAMPLES", 1 << 12), no_kept_sweeps():
             tracemalloc.start()
             try:
                 sweeps = sweep_footprints(geometry, paths, 0.4)
@@ -210,15 +188,49 @@ class TestSweepFootprint:
         """A step that ends 1000 m off the grid is rejected without building
         its samples (about 156 MB of them)."""
         geometry = GridGeometry(0.0, 0.0, 0.05, 80, 80)
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="exits grid"):
-                sweep_footprint(geometry, [(2.0, 2.0, 0.0), (1004.0, 2.0, 0.0)],
-                                0.4)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        with no_kept_sweeps():
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="exits grid"):
+                    sweep_footprint(geometry,
+                                    [(2.0, 2.0, 0.0), (1004.0, 2.0, 0.0)], 0.4)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         assert peak < 1e6, peak
+
+    def test_sweeps_only_paths_the_last_sweep_lacks(self, monkeypatch):
+        """A path that the last call to sweep one also swept, on the same
+        geometry and width, is not swept again; each result is the bytes of
+        the oracle, in fresh arrays."""
+        real, swept = path._sweep, []
+
+        def counted(geometry, pts, width):
+            swept.append(len(pts))
+            return real(geometry, pts, width)
+
+        monkeypatch.setattr(path, "_sweep", counted)
+        monkeypatch.setattr(path, "_last", (None, math.nan, {}))
+        geometry = GridGeometry(0.0, 0.0, 0.05, 80, 80)
+        finer = GridGeometry(0.0, 0.0, 0.025, 160, 160)
+        a, b = straight_poses(1.0, 1.5, 2.0), straight_poses(1.0, 1.5, 2.2)
+        far = [(2.0, 2.0, 0.0), (1004.0, 2.0, 0.0)]
+        calls = [(geometry, [a, b, far, a], 0.4, [3]),  # a repeated path once
+                 (geometry, [np.array(b), far], 0.4, []),  # same bits, kept
+                 (geometry, [a], 0.3, [1]),              # another width
+                 (geometry, [b], 0.4, [1]),              # gone with that call
+                 (finer, [b], 0.4, [1]),                 # another geometry
+                 (finer, [a, b], 0.4, [1]),
+                 (finer, [b, a], 0.4, [])]
+        for geo, paths, width, sizes in calls:
+            swept.clear()
+            got = sweep_footprints(geo, paths, width)
+            assert swept == sizes
+            assert ([_outcome(sweep) for sweep in got]
+                    == [_sweep_outcome(oracle.sweep_footprint, geo, poses, width)
+                        for poses in paths])
+            for sweep in filter(None, got):
+                sweep[0][:], sweep[1][:] = -1, 0.0  # the kept copy stays
 
     def test_swept_cells_reads_only_crossed_cells(self, monkeypatch):
         """On a 2000 x 2000 grid the estimators see the crossed cells alone,

@@ -6,8 +6,8 @@ import pytest
 from lambdafield import (GridGeometry, LambdaGrid, PlannerConfig, RobotShape,
                          SensorModel, plan_step, run_episode, sample_arcs,
                          swept_cells)
-from lambdafield import field
-from lambdafield.planner import admissible_candidates, integrate_arc
+from lambdafield import field, path
+from lambdafield.planner import MAX_ARC_STEPS, admissible_candidates, integrate_arc
 import oracle
 
 
@@ -41,6 +41,19 @@ class TestConfigValidation:
     def test_rejects(self, key, value):
         with pytest.raises(ValueError):
             PlannerConfig(**{key: value})
+
+    @pytest.mark.parametrize("v_max,horizon,step", [
+        (1e300, 1e300, 0.05), (1.0, 1.0, 1e-300), (1e6, 1.0, 0.05),
+        (MAX_ARC_STEPS * 0.05 * 1.001, 1.0, 0.05)])
+    def test_rejects_arcs_of_too_many_steps(self, v_max, horizon, step):
+        with pytest.raises(ValueError, match="steps per arc"):
+            PlannerConfig(v_max=v_max, horizon=horizon, step=step)
+
+    def test_longest_arc_allowed(self):
+        config = PlannerConfig(v_max=MAX_ARC_STEPS * 0.05, step=0.05,
+                               v_samples=1, omega_samples=1)
+        arc, = sample_arcs((0.0, 0.0, 0.0), config)
+        assert len(arc.poses) == MAX_ARC_STEPS + 1
 
     def test_infinite_max_risk_and_goal_tolerance_allowed(self):
         PlannerConfig(max_risk=math.inf, goal_tolerance=math.inf)
@@ -205,10 +218,11 @@ class TestAdmissibleCandidates:
         # and cycles where the gate drops arcs
         assert left >= 5 and out_of_grid >= 1 and over_budget >= 5
 
-    def test_reads_estimates_once_at_crossed_cells(self, monkeypatch):
-        """On a 2000 x 2000 grid one cycle calls each estimator once, with
-        the counts of exactly the cells its in-grid arcs cross, in arc
-        order."""
+    def test_sweeps_once_and_reads_each_arc_at_its_cells(self, monkeypatch):
+        """On a 2000 x 2000 grid one cycle sweeps its 25 arcs' footprints in
+        one sampling pass (about 60 000 samples, below ``SWEEP_SAMPLES``),
+        and calls each estimator once per arc that stays on the grid, with
+        the counts of exactly the cells that arc crosses, in arc order."""
         geo = GridGeometry(0.0, 0.0, 0.05, 2000, 2000)
         grid = LambdaGrid(geo, SensorModel())
         rng = np.random.default_rng(7)
@@ -220,6 +234,15 @@ class TestAdmissibleCandidates:
                 calls.append((h.copy(), m.copy()))
                 return real(h, m, *args)
             monkeypatch.setattr(field, name, spy)
+        passes = []
+        real_flat = GridGeometry.flat_or_outside
+
+        def flat_spy(self, xs, ys):
+            passes.append(np.size(xs))
+            return real_flat(self, xs, ys)
+
+        monkeypatch.setattr(GridGeometry, "flat_or_outside", flat_spy)
+        monkeypatch.setattr(path, "_last", (None, math.nan, {}))
         # heading west from near the edge: the slow arcs stay on the grid,
         # the fast ones leave it
         pose = (0.6, 50.0, math.pi)
@@ -228,19 +251,19 @@ class TestAdmissibleCandidates:
         cells = []
         for arc in sample_arcs(pose, config):
             try:
-                cells.append(swept_cells(grid, arc.poses, shape).cells)
+                cells.append(oracle.sweep_footprint(geo, arc.poses,
+                                                    shape.width)[0])
             except ValueError:
                 pass
-        assert 0 < len(cells) < len(sample_arcs(pose, config))
-        cells = np.concatenate(cells)
-        for calls in seen.values():
-            calls.clear()
+        assert 0 < len(cells) < config.v_samples * config.omega_samples
+        passes.clear()
         admissible_candidates(grid, pose, np.zeros((1, 3)), shape, config)
+        assert len(passes) == 1
         for calls in seen.values():
-            assert len(calls) == 1
-            h, m = calls[0]
-            np.testing.assert_array_equal(h, grid.hits[cells])
-            np.testing.assert_array_equal(m, grid.misses[cells])
+            assert len(calls) == len(cells)
+            for (h, m), arc_cells in zip(calls, cells):
+                np.testing.assert_array_equal(h, grid.hits[arc_cells])
+                np.testing.assert_array_equal(m, grid.misses[arc_cells])
 
 
 class TestRunEpisode:
