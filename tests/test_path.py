@@ -201,8 +201,8 @@ class TestSweepFootprint:
 
     def test_sweeps_only_paths_the_last_sweep_lacks(self, monkeypatch):
         """A path that the last call to sweep one also swept, on the same
-        geometry and width, is not swept again; each result is the bytes of
-        the oracle, in fresh arrays."""
+        geometry and width, is not swept again, and only that call's paths
+        are kept; each result is the bytes of the oracle, in fresh arrays."""
         real, swept = path._sweep, []
 
         def counted(geometry, pts, width):
@@ -213,7 +213,7 @@ class TestSweepFootprint:
         monkeypatch.setattr(path, "_last", (None, math.nan, {}))
         geometry = GridGeometry(0.0, 0.0, 0.05, 80, 80)
         finer = GridGeometry(0.0, 0.0, 0.025, 160, 160)
-        a, b = straight_poses(1.0, 1.5, 2.0), straight_poses(1.0, 1.5, 2.2)
+        a, b, c = (straight_poses(1.0, 1.5, y) for y in (2.0, 2.2, 2.4))
         far = [(2.0, 2.0, 0.0), (1004.0, 2.0, 0.0)]
         calls = [(geometry, [a, b, far, a], 0.4, [3]),  # a repeated path once
                  (geometry, [np.array(b), far], 0.4, []),  # same bits, kept
@@ -221,7 +221,9 @@ class TestSweepFootprint:
                  (geometry, [b], 0.4, [1]),              # gone with that call
                  (finer, [b], 0.4, [1]),                 # another geometry
                  (finer, [a, b], 0.4, [1]),
-                 (finer, [b, a], 0.4, [])]
+                 (finer, [b, a], 0.4, []),
+                 (finer, [c, b], 0.4, [1]),              # keeps c and b only
+                 (finer, [a], 0.4, [1])]
         for geo, paths, width, sizes in calls:
             swept.clear()
             got = sweep_footprints(geo, paths, width)
