@@ -1,9 +1,7 @@
 """Poisson-intensity occupancy fields with tessellation-invariant path risk."""
 
 from .bayes import BayesGrid, bayes_scan, naive_path_probability
-from .field import (CellStats, ConfidenceInterval, LambdaGrid, SensorModel,
-                    collision_probability, confidence_bounds, lambda_from_count,
-                    lambda_mle)
+from .field import LambdaGrid, SensorModel, collision_probability
 from .geometry import GridGeometry
 from .path import (PathCrossing, RobotShape, collision_pdf, constant_velocity,
                    expected_risk, momentum_risk, path_collision_probability,
@@ -14,12 +12,11 @@ from .raycast import error_region_cells, trace_beam
 from .sensor import Beam, GroundTruthMap, apply_scan, simulate_scan
 
 __all__ = [
-    "BayesGrid", "Beam", "CellStats", "ConfidenceInterval", "GridGeometry",
-    "GroundTruthMap", "LambdaGrid", "PathCrossing", "PlannerConfig",
-    "RobotShape", "SensorModel", "TrajectoryCandidate", "apply_scan",
-    "bayes_scan", "collision_pdf", "collision_probability",
-    "confidence_bounds", "constant_velocity", "error_region_cells",
-    "expected_risk", "lambda_from_count", "lambda_mle", "momentum_risk",
-    "naive_path_probability", "path_collision_probability", "plan_step",
-    "run_episode", "sample_arcs", "simulate_scan", "swept_cells", "trace_beam",
+    "BayesGrid", "Beam", "GridGeometry", "GroundTruthMap", "LambdaGrid",
+    "PathCrossing", "PlannerConfig", "RobotShape", "SensorModel",
+    "TrajectoryCandidate", "apply_scan", "bayes_scan", "collision_pdf",
+    "collision_probability", "constant_velocity", "error_region_cells",
+    "expected_risk", "momentum_risk", "naive_path_probability",
+    "path_collision_probability", "plan_step", "run_episode", "sample_arcs",
+    "simulate_scan", "swept_cells", "trace_beam",
 ]

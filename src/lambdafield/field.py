@@ -1,9 +1,9 @@
 """Poisson-intensity occupancy grid: per-cell MLE and confidence bounds.
 
 Intensities have units 1/m^2. Cells with hits but no misses are clamped to a
-configurable ``lambda_max`` so every path integral stays finite. The
-scalar estimators run the same array kernels as ``LambdaGrid`` on one cell,
-so a scalar and a map value agree bit for bit.
+configurable ``lambda_max`` so every path integral stays finite. The MLE
+and both bounds map counts to intensities through one kernel,
+``_from_counts``, read only through ``LambdaGrid.lambda_map``/``bound_maps``.
 """
 
 from __future__ import annotations
@@ -48,87 +48,11 @@ class SensorModel:
         return math.sqrt(self.error_area / math.pi)
 
 
-@dataclass
-class CellStats:
-    """Hit/miss tallies for one cell. Counts only ever increase."""
-
-    hits: int = 0
-    misses: int = 0
-
-    def __post_init__(self):
-        if self.hits < 0 or self.misses < 0:
-            raise ValueError("counts must be nonnegative")
-
-    @property
-    def total(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def observed(self) -> bool:
-        return self.total > 0
-
-
-@dataclass(frozen=True)
-class ConfidenceInterval:
-    lambda_low: float
-    lambda_high: float
-    level: float = 0.95
-
-    @property
-    def width(self) -> float:
-        return self.lambda_high - self.lambda_low
-
-
-def lambda_mle(stats: CellStats, sensor: SensorModel,
-               lambda_max: float = DEFAULT_LAMBDA_MAX) -> float:
-    """Closed-form maximum-likelihood intensity (1/e) * ln(1 + h/m).
-
-    Total by policy: h = 0 gives 0 (including the unobserved case, see
-    ``CellStats.observed``); m = 0 with h > 0 saturates at ``lambda_max``.
-    """
-    h, m = np.array([[stats.hits], [stats.misses]], dtype=np.float64)
-    return float(_mle(h, m, sensor.error_area, lambda_max)[0])
-
-
-def lambda_from_count(k: float, total: float, error_area: float,
-                      lambda_max: float = DEFAULT_LAMBDA_MAX) -> float:
-    """Map a (possibly fractional) hit count out of ``total`` to an intensity.
-
-    Strictly increasing in k on [0, total); k = total saturates at lambda_max.
-    """
-    if total <= 0:
-        raise ValueError("total count must be > 0")
-    if k < 0 or k > total:
-        raise ValueError(f"count {k} outside [0, {total}]")
-    k, total = np.array([[k], [total]], dtype=np.float64)
-    return float(_from_counts(k, total, error_area, lambda_max)[0])
-
-
-def confidence_bounds(stats: CellStats, sensor: SensorModel,
-                      lambda_max: float = DEFAULT_LAMBDA_MAX) -> ConfidenceInterval:
-    """95% interval on the intensity via the Gaussian count approximation.
-
-    The hit count is a sum of two binomials (true hits kept, misses misread
-    as hits); its Poisson-binomial law is approximated by a Gaussian of equal
-    mean and variance, clamped to the feasible count range. Unobserved cells
-    get the vacuous interval [0, lambda_max].
-    """
-    h, m = np.array([[stats.hits], [stats.misses]], dtype=np.float64)
-    low, high = _bounds(h, m, sensor, lambda_max)
-    return ConfidenceInterval(float(low[0]), float(high[0]))
-
-
-def _mle(h: np.ndarray, m: np.ndarray, error_area: float,
-         lambda_max: float) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam = np.log1p(h / m) / error_area
-    lam = np.where(h == 0, 0.0, lam)
-    lam = np.where((m == 0) & (h > 0), lambda_max, lam)
-    return np.minimum(lam, lambda_max)
-
-
 def _bounds(h: np.ndarray, m: np.ndarray, sensor: SensorModel,
             lambda_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """95% interval on the intensity: the hit count, a sum of two binomials
+    (true hits kept, misses misread as hits), is approximated by a Gaussian
+    of equal mean and variance, clamped to the feasible count range."""
     total = h + m
     mu = h * sensor.p_hit + m * (1.0 - sensor.p_miss)
     var = (h * (1.0 - sensor.p_hit) * sensor.p_hit
@@ -146,11 +70,15 @@ def _bounds(h: np.ndarray, m: np.ndarray, sensor: SensorModel,
 
 def _from_counts(k: np.ndarray, total: np.ndarray, error_area: float,
                  lambda_max: float) -> np.ndarray:
+    """Intensity (1/e) * ln(1 + k/(total - k)) of a (possibly fractional)
+    hit count k out of ``total``: strictly increasing in k on [0, total).
+    k = 0 gives 0 (also for total = 0); k = total > 0 saturates at lambda_max.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
         lam = np.log1p(k / (total - k)) / error_area
     lam = np.where(k <= 0, 0.0, lam)
     lam = np.where((total > 0) & (k >= total), lambda_max, lam)
-    return np.minimum(np.nan_to_num(lam, nan=0.0), lambda_max)
+    return np.minimum(lam, lambda_max)
 
 
 def collision_probability(integrated: float) -> float:
@@ -186,14 +114,13 @@ class LambdaGrid:
     def add_misses(self, indices: np.ndarray) -> None:
         _add_counts(self.misses, indices)
 
-    def stats(self, index: int) -> CellStats:
-        return CellStats(int(self.hits[index]), int(self.misses[index]))
-
     def lambda_map(self, cells=slice(None)) -> np.ndarray:
-        """MLE intensities of the flat ``cells`` (default all); reads only those."""
-        return _mle(self.hits[cells].astype(np.float64),
-                    self.misses[cells].astype(np.float64),
-                    self.sensor.error_area, self.lambda_max)
+        """MLE intensities (1/e) * ln(1 + h/m) of the flat ``cells`` (default
+        all); reads only those. h = 0 gives 0, also for unobserved cells;
+        m = 0 with h > 0 saturates at ``lambda_max``."""
+        h = self.hits[cells].astype(np.float64)
+        return _from_counts(h, h + self.misses[cells], self.sensor.error_area,
+                            self.lambda_max)
 
     def bound_maps(self, cells=slice(None)) -> tuple[np.ndarray, np.ndarray]:
         """(lambda_low, lambda_high) of the flat ``cells`` (default all);

@@ -225,20 +225,13 @@ def read_pgm(path: str | Path) -> tuple[np.ndarray, float]:
     return pixels.astype(np.float64), scale
 
 
-def load_ground_truth(path: str | Path, geometry: GridGeometry | None = None,
-                      origin: tuple[float, float] = (0.0, 0.0),
-                      resolution: float = 0.1) -> GroundTruthMap:
-    """Ground-truth intensities from 8-bit PGM (pixel * scale) or CSV
-    (col,row,lambda)."""
+def load_ground_truth(path: str | Path, geometry: GridGeometry) -> GroundTruthMap:
+    """Ground-truth intensities on ``geometry`` from 8-bit PGM (pixel * scale)
+    or CSV (col,row,lambda)."""
     path = Path(path)
     if path.suffix.lower() == ".pgm":
         pixels, scale = read_pgm(path)
-        if geometry is None:
-            geometry = GridGeometry(origin[0], origin[1], resolution,
-                                    pixels.shape[1], pixels.shape[0])
         return GroundTruthMap(geometry, pixels.reshape(-1) * scale)
-    if geometry is None:
-        raise ValueError("CSV ground truth needs an explicit geometry")
     # ValueError on a non-number or on rows of different lengths
     table = np.array(_csv_rows(path, ["col", "row", "lambda"])
                      or np.empty((0, 3)), dtype=np.float64)

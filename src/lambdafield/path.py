@@ -62,10 +62,6 @@ class PathCrossing:
     def __len__(self) -> int:
         return len(self.cells)
 
-    @property
-    def total_area(self) -> float:
-        return float(self.areas.sum())
-
     def cumulative_areas(self) -> np.ndarray:
         """A(i) = area crossed before entering cell i; length N+1, last = total."""
         return np.concatenate(([0.0], np.cumsum(self.areas)))
@@ -75,13 +71,6 @@ class PathCrossing:
         if use_bound not in lams:
             raise ValueError(f"unknown bound {use_bound!r}; expected mle/lower/upper")
         return lams[use_bound]
-
-    @classmethod
-    def from_lambdas(cls, lambdas: Sequence[float], areas: Sequence[float]) -> "PathCrossing":
-        """Synthetic crossing with identical mle/lower/upper intensities."""
-        lam = np.asarray(lambdas, dtype=np.float64)
-        return cls(np.arange(len(lam)), np.asarray(areas, dtype=np.float64),
-                   lam, lam.copy(), lam.copy())
 
 
 SAMPLES_PER_CELL = 5
@@ -302,6 +291,6 @@ def momentum_risk(shape: RobotShape,
 
 
 def constant_velocity(v: float) -> Callable[[float], float]:
-    if not v >= 0:
-        raise ValueError(f"speed must be >= 0, got {v}")
+    if not 0 <= v < math.inf:
+        raise ValueError(f"speed must be finite and >= 0, got {v}")
     return lambda s: v

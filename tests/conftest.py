@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lambdafield import GridGeometry, LambdaGrid, SensorModel
+from lambdafield import GridGeometry, LambdaGrid, PathCrossing, SensorModel
 
 
 @pytest.fixture
@@ -30,3 +30,19 @@ def observed_free_grid(geometry, sensor):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def counts_grid(hits, misses, sensor=None):
+    """A one-row ``LambdaGrid`` whose cell i has hits[i] and misses[i]."""
+    hits, misses = np.atleast_1d(hits), np.atleast_1d(misses)
+    grid = LambdaGrid(GridGeometry(0.0, 0.0, 1.0, len(hits), 1),
+                      sensor or SensorModel())
+    grid.hits[:], grid.misses[:] = hits, misses
+    return grid
+
+
+def crossing_of(lambdas, areas):
+    """A crossing of cells 0..n-1 with the given intensities as all three
+    estimates and the given crossed areas."""
+    lam = np.asarray(lambdas, dtype=np.float64)
+    return PathCrossing(np.arange(len(lam)), areas, lam, lam.copy(), lam.copy())

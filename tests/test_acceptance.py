@@ -12,10 +12,10 @@ import pytest
 from click.testing import CliRunner
 from scipy.optimize import minimize_scalar
 
-from lambdafield import (BayesGrid, CellStats, GridGeometry, GroundTruthMap,
-                         LambdaGrid, PathCrossing, PlannerConfig, RobotShape,
-                         SensorModel, apply_scan, bayes_scan, collision_pdf,
-                         confidence_bounds, expected_risk, lambda_mle,
+from conftest import counts_grid, crossing_of
+from lambdafield import (BayesGrid, GridGeometry, GroundTruthMap, LambdaGrid,
+                         PlannerConfig, RobotShape, SensorModel, apply_scan,
+                         bayes_scan, collision_pdf, expected_risk,
                          momentum_risk, path_collision_probability, plan_step,
                          run_episode, simulate_scan)
 from lambdafield.bayes import naive_probability_from_occupancy
@@ -36,7 +36,7 @@ def random_crossing(rng, max_cells=15):
     n = int(rng.integers(1, max_cells + 1))
     lam = rng.uniform(0.1, 8.0, n)
     areas = rng.uniform(0.005, 0.08, n)
-    return PathCrossing.from_lambdas(lam, areas)
+    return crossing_of(lam, areas)
 
 
 def test_01_naive_probability_depends_on_tessellation(report):
@@ -48,8 +48,8 @@ def test_01_naive_probability_depends_on_tessellation(report):
     # baseline re-estimates occupancy 0.1 per cell at either size
     p_naive_4 = naive_probability_from_occupancy([p_cell] * 4)
     p_naive_2 = naive_probability_from_occupancy([p_cell] * 2)
-    four = PathCrossing.from_lambdas([intensity] * 4, [base_area] * 4)
-    two = PathCrossing.from_lambdas([intensity] * 2, [2 * base_area] * 2)
+    four = crossing_of([intensity] * 4, [base_area] * 4)
+    two = crossing_of([intensity] * 2, [2 * base_area] * 2)
     p_field_4 = path_collision_probability(four)
     p_field_2 = path_collision_probability(two)
     elapsed = time.perf_counter() - start
@@ -64,7 +64,7 @@ def test_02_uniform_path_collision_probability(report):
     start = time.perf_counter()
     lam = np.full(59, 0.1)
     lam[58] = 2.0
-    crossing = PathCrossing.from_lambdas(lam, np.full(59, 0.04))
+    crossing = crossing_of(lam, np.full(59, 0.04))
     p = path_collision_probability(crossing)
     elapsed = time.perf_counter() - start
     expected = -math.expm1(-0.312)
@@ -99,9 +99,8 @@ def test_03_closed_form_matches_numeric_maximization(report):
         if (hits == 0).any() or (misses == 0).any():
             continue  # keep the optimum interior so the gradient vanishes
         scenarios += 1
-        for h, m in zip(hits, misses):
-            closed = lambda_mle(CellStats(int(h), int(m)), sensor)
-
+        for h, m, closed in zip(hits, misses,
+                                counts_grid(hits, misses, sensor).lambda_map()):
             def neg_loglik(lam):
                 return (m * cell_area * lam
                         - h * (cell_area / e) * math.log(-math.expm1(-e * lam)))
@@ -120,14 +119,11 @@ def test_03_closed_form_matches_numeric_maximization(report):
 def test_04_interval_widens_at_misread_then_reconverges(report):
     start = time.perf_counter()
     sensor = SensorModel(0.99, 0.9999, 0.04)
-    widths = []
-    hits, misses = 0, 0
-    for reading in range(1, 101):
-        if reading == 40:
-            hits += 1
-        else:
-            misses += 1
-        widths.append(confidence_bounds(CellStats(hits, misses), sensor).width)
+    # cell i holds the counts after reading i + 1
+    readings = np.arange(1, 101)
+    hits = (readings >= 40).astype(np.int64)
+    low, high = counts_grid(hits, readings - hits, sensor).bound_maps()
+    widths = high - low
     elapsed = time.perf_counter() - start
     ok = widths[38] < widths[40] and widths[99] < widths[40] and elapsed < 1.0
     report(4, "interval widens at misread and re-converges", ok,

@@ -280,6 +280,8 @@ BAD_INPUTS = [
      "eval-path {mapped}/lambda_grid.dump p.csv --speed fast", 2),
     ("eval-path: --speed nan", {"p.csv": PATH},
      "eval-path {mapped}/lambda_grid.dump p.csv --speed nan", 2),
+    ("eval-path: --speed inf", {"p.csv": PATH},
+     "eval-path {mapped}/lambda_grid.dump p.csv --speed inf", 2),
     ("eval-path: NaN in the path", {"p.csv": path_text([1.0, float("nan")])},
      "eval-path {mapped}/lambda_grid.dump p.csv", 3),
     ("eval-path: empty path file", {"p.csv": ""},

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import crossing_of
 from lambdafield import (BayesGrid, GridGeometry, LambdaGrid, PathCrossing,
                          SensorModel, collision_pdf, expected_risk,
                          path_collision_probability)
@@ -192,7 +193,7 @@ class TestPgm:
         values[2, 3] = 2.0
         f = tmp_path / "truth.pgm"
         lfio.write_pgm(f, values, scale=10.0, maxval=255)
-        truth = lfio.load_ground_truth(f, resolution=0.5)
+        truth = lfio.load_ground_truth(f, GridGeometry(0.0, 0.0, 0.5, 8, 5))
         assert truth.geometry.n_cols == 8 and truth.geometry.n_rows == 5
         # pixels carry value * scale; loader multiplies back by the scale
         assert truth.intensities.reshape(5, 8)[2, 3] == pytest.approx(200.0)
@@ -230,7 +231,7 @@ class TestScanAndPathFiles:
         np.testing.assert_array_equal(lfio.load_path_csv(f), poses)
 
     def test_risk_report_columns(self, tmp_path):
-        crossing = PathCrossing.from_lambdas([0.5, 2.0, 0.1], [0.04] * 3)
+        crossing = crossing_of([0.5, 2.0, 0.1], [0.04] * 3)
         f = tmp_path / "report.csv"
         lfio.save_risk_report(f, crossing, lambda a: 1.0)
         with open(f, newline="") as fh:
@@ -246,8 +247,8 @@ class TestScanAndPathFiles:
 
     def test_risk_report_rows_match_density_and_risk_terms(self, tmp_path, rng):
         n = 1200
-        crossing = PathCrossing.from_lambdas(rng.random(n) * 2.0,
-                                             rng.random(n) * 0.01 + 0.001)
+        crossing = crossing_of(rng.random(n) * 2.0,
+                               rng.random(n) * 0.01 + 0.001)
         risk_fn = lambda a: 2.0 + a
         f = tmp_path / "report.csv"
         lfio.save_risk_report(f, crossing, risk_fn)

@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from lambdafield import (GridGeometry, LambdaGrid, PathCrossing, RobotShape,
+from conftest import crossing_of
+from lambdafield import (GridGeometry, LambdaGrid, RobotShape,
                          SensorModel, collision_pdf, constant_velocity,
                          expected_risk, momentum_risk,
                          path_collision_probability, swept_cells)
@@ -45,7 +46,7 @@ class TestSweptCells:
             poses = list(zip(xs, ys, np.zeros(n)))
             length = float(np.sum(np.hypot(np.diff(xs), np.diff(ys))))
             crossing = swept_cells(observed_free_grid, poses, shape)
-            assert crossing.total_area == pytest.approx(
+            assert crossing.areas.sum() == pytest.approx(
                 shape.width * length, rel=0.02)
 
     def test_reentered_cell_counted_once(self, observed_free_grid):
@@ -236,31 +237,32 @@ class TestSweepFootprint:
 
     def test_swept_cells_reads_only_crossed_cells(self, monkeypatch):
         """On a 2000 x 2000 grid the estimators see the crossed cells alone,
-        not whole-grid arrays."""
+        not whole-grid arrays: the bounds, the count kernel for each bound,
+        and the count kernel for the MLE."""
         grid = LambdaGrid(GridGeometry(0.0, 0.0, 0.05, 2000, 2000),
                           SensorModel())
         seen = []
-        for name in ("_mle", "_bounds"):
-            def spy(h, m, *args, real=getattr(field, name)):
-                seen.append(max(len(h), len(m)))
-                return real(h, m, *args)
+        for name in ("_from_counts", "_bounds"):
+            def spy(a, b, *args, real=getattr(field, name)):
+                seen.append(max(len(a), len(b)))
+                return real(a, b, *args)
             monkeypatch.setattr(field, name, spy)
         crossing = swept_cells(grid, straight_poses(10.0, 12.0, 50.0),
                                RobotShape(0.4))
         assert len(crossing) > 0
-        assert seen == [len(crossing)] * 2
+        assert seen == [len(crossing)] * 4
 
 
 class TestCollisionPdf:
     def test_density_at_origin_is_lambda(self):
-        crossing = PathCrossing.from_lambdas([2.0], [0.04])
+        crossing = crossing_of([2.0], [0.04])
         assert collision_pdf(crossing, 0.0) == pytest.approx(2.0, abs=1e-15)
 
     def test_integrates_to_collision_probability(self, rng):
         for _ in range(10):
             n = int(rng.integers(1, 12))
-            crossing = PathCrossing.from_lambdas(rng.random(n) * 5.0,
-                                                 rng.random(n) * 0.05 + 0.005)
+            crossing = crossing_of(rng.random(n) * 5.0,
+                                   rng.random(n) * 0.05 + 0.005)
             cum = crossing.cumulative_areas()
             total = sum(quad(lambda a: collision_pdf(crossing, a),
                              cum[i], cum[i + 1])[0] for i in range(n))
@@ -269,7 +271,7 @@ class TestCollisionPdf:
 
     def test_cdf_jumps_through_dense_cell(self):
         # a dense cell in the middle drives the CDF close to one
-        crossing = PathCrossing.from_lambdas([0.1, 200.0, 0.1], [0.04] * 3)
+        crossing = crossing_of([0.1, 200.0, 0.1], [0.04] * 3)
         cum = crossing.cumulative_areas()
         cdf_before = quad(lambda a: collision_pdf(crossing, a), 0, cum[1])[0]
         cdf_after = quad(lambda a: collision_pdf(crossing, a), 0, cum[2])[0]
@@ -277,7 +279,7 @@ class TestCollisionPdf:
         assert cdf_after > 0.99
 
     def test_out_of_range_rejected(self):
-        crossing = PathCrossing.from_lambdas([1.0], [0.04])
+        crossing = crossing_of([1.0], [0.04])
         with pytest.raises(ValueError):
             collision_pdf(crossing, -0.01)
         with pytest.raises(ValueError):
@@ -287,14 +289,14 @@ class TestCollisionPdf:
 class TestPathCollisionProbability:
     def test_four_small_cells(self):
         lam = -math.log(0.9) / 0.04
-        crossing = PathCrossing.from_lambdas([lam] * 4, [0.04] * 4)
+        crossing = crossing_of([lam] * 4, [0.04] * 4)
         assert path_collision_probability(crossing) == pytest.approx(
             1.0 - 0.9 ** 4, abs=1e-12)
 
     def test_two_double_cells_same_intensity(self):
         lam = -math.log(0.9) / 0.04
-        fine = PathCrossing.from_lambdas([lam] * 4, [0.04] * 4)
-        coarse = PathCrossing.from_lambdas([lam] * 2, [0.08] * 2)
+        fine = crossing_of([lam] * 4, [0.04] * 4)
+        coarse = crossing_of([lam] * 2, [0.08] * 2)
         assert path_collision_probability(coarse) == pytest.approx(
             path_collision_probability(fine), abs=1e-12)
 
@@ -302,7 +304,7 @@ class TestPathCollisionProbability:
         lam = rng.random(15) * 3.0
         areas = rng.random(15) * 0.05 + 0.001
         probs = [path_collision_probability(
-            PathCrossing.from_lambdas(lam[:n], areas[:n]))
+            crossing_of(lam[:n], areas[:n]))
             for n in range(16)]
         assert all(a <= b for a, b in zip(probs, probs[1:]))
 
@@ -311,20 +313,20 @@ class TestExpectedRisk:
     def test_unit_risk_equals_collision_probability(self, rng):
         for _ in range(20):
             n = int(rng.integers(1, 30))
-            crossing = PathCrossing.from_lambdas(rng.random(n) * 4.0,
-                                                 rng.random(n) * 0.05 + 0.001)
+            crossing = crossing_of(rng.random(n) * 4.0,
+                                   rng.random(n) * 0.05 + 0.001)
             assert expected_risk(crossing, lambda a: 1.0) == pytest.approx(
                 path_collision_probability(crossing), abs=1e-12)
 
     def test_zero_intensity_gives_zero(self):
-        crossing = PathCrossing.from_lambdas([0.0] * 5, [0.04] * 5)
+        crossing = crossing_of([0.0] * 5, [0.04] * 5)
         assert expected_risk(crossing, lambda a: 10.0) == 0.0
 
     def test_bounded_by_max_risk_times_probability(self, rng):
-        crossing = PathCrossing.from_lambdas(rng.random(10) * 3.0,
-                                             rng.random(10) * 0.04 + 0.001)
+        crossing = crossing_of(rng.random(10) * 3.0,
+                               rng.random(10) * 0.04 + 0.001)
         risk = expected_risk(crossing, lambda a: 2.0 + a)
-        cap = (2.0 + crossing.total_area) * path_collision_probability(crossing)
+        cap = (2.0 + crossing.areas.sum()) * path_collision_probability(crossing)
         assert 0.0 <= risk <= cap
 
     def test_bound_choice_is_monotone_for_constant_risk(self, observed_free_grid):
@@ -353,7 +355,7 @@ class TestMomentumRisk:
     def test_single_hazard_cell_pipeline(self):
         # constant speed through one cell: E[risk] = m v P(coll)
         shape = RobotShape(0.4, 0.6, 20.0)
-        crossing = PathCrossing.from_lambdas([3.0], [0.08])
+        crossing = crossing_of([3.0], [0.08])
         risk = expected_risk(crossing,
                              momentum_risk(shape, constant_velocity(0.7)))
         assert risk == pytest.approx(

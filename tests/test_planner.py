@@ -220,19 +220,20 @@ class TestAdmissibleCandidates:
 
     def test_sweeps_once_and_reads_each_arc_at_its_cells(self, monkeypatch):
         """On a 2000 x 2000 grid one cycle sweeps its 25 arcs' footprints in
-        one sampling pass (about 60 000 samples, below ``SWEEP_SAMPLES``),
-        and calls each estimator once per arc that stays on the grid, with
-        the counts of exactly the cells that arc crosses, in arc order."""
+        one sampling pass (about 60 000 samples, below ``SWEEP_SAMPLES``).
+        Per arc that stays on the grid, in arc order, it calls the bounds
+        once and the count kernel three times (both bounds and the MLE),
+        with the counts of exactly the cells that arc crosses."""
         geo = GridGeometry(0.0, 0.0, 0.05, 2000, 2000)
         grid = LambdaGrid(geo, SensorModel())
         rng = np.random.default_rng(7)
         grid.hits[:] = rng.integers(0, 1000, geo.n_cells)
         grid.misses[:] = rng.integers(0, 1000, geo.n_cells)
-        seen = {"_mle": [], "_bounds": []}
+        seen = {"_from_counts": [], "_bounds": []}
         for name in seen:
-            def spy(h, m, *args, real=getattr(field, name), calls=seen[name]):
-                calls.append((h.copy(), m.copy()))
-                return real(h, m, *args)
+            def spy(a, b, *args, real=getattr(field, name), calls=seen[name]):
+                calls.append((a.copy(), b.copy()))
+                return real(a, b, *args)
             monkeypatch.setattr(field, name, spy)
         passes = []
         real_flat = GridGeometry.flat_or_outside
@@ -259,11 +260,15 @@ class TestAdmissibleCandidates:
         passes.clear()
         admissible_candidates(grid, pose, np.zeros((1, 3)), shape, config)
         assert len(passes) == 1
-        for calls in seen.values():
-            assert len(calls) == len(cells)
-            for (h, m), arc_cells in zip(calls, cells):
-                np.testing.assert_array_equal(h, grid.hits[arc_cells])
-                np.testing.assert_array_equal(m, grid.misses[arc_cells])
+        bounds, kernel = seen["_bounds"], seen["_from_counts"]
+        assert len(bounds) == len(cells) and len(kernel) == 3 * len(cells)
+        for i, arc_cells in enumerate(cells):
+            h = grid.hits[arc_cells].astype(np.float64)
+            m = grid.misses[arc_cells]
+            np.testing.assert_array_equal(bounds[i][0], h)
+            np.testing.assert_array_equal(bounds[i][1], m)
+            for _, total in kernel[3 * i:3 * i + 3]:
+                np.testing.assert_array_equal(total, h + m)
 
 
 class TestRunEpisode:

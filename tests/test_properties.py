@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import counts_grid, crossing_of
 from lambdafield import (GridGeometry, LambdaGrid, PathCrossing, RobotShape,
-                         SensorModel, expected_risk, lambda_from_count,
-                         path_collision_probability, swept_cells, trace_beam)
+                         SensorModel, expected_risk, path_collision_probability,
+                         swept_cells, trace_beam)
+from lambdafield.field import _from_counts
 
 lambdas = st.lists(st.floats(0.0, 10.0), min_size=1, max_size=12)
 areas = st.lists(st.floats(1e-3, 0.1), min_size=1, max_size=12)
@@ -17,7 +19,7 @@ areas = st.lists(st.floats(1e-3, 0.1), min_size=1, max_size=12)
 
 def crossing_from(lams, ars):
     n = min(len(lams), len(ars))
-    return PathCrossing.from_lambdas(lams[:n], ars[:n])
+    return crossing_of(lams[:n], ars[:n])
 
 
 @given(lambdas, areas, st.integers(2, 5))
@@ -25,8 +27,8 @@ def test_subdivision_invariance(lams, ars, k):
     """k-fold uniform subdivision with preserved intensity leaves the
     integrated intensity and collision probability unchanged."""
     coarse = crossing_from(lams, ars)
-    fine = PathCrossing.from_lambdas(
-        np.repeat(coarse.lam_mle, k), np.repeat(coarse.areas / k, k))
+    fine = crossing_of(np.repeat(coarse.lam_mle, k),
+                       np.repeat(coarse.areas / k, k))
     a = float(np.dot(coarse.areas, coarse.lam_mle))
     b = float(np.dot(fine.areas, fine.lam_mle))
     assert abs(a - b) < 1e-12 * max(1.0, a)
@@ -37,18 +39,14 @@ def test_subdivision_invariance(lams, ars, k):
 @given(st.integers(1, 200), st.floats(0.001, 1.0))
 def test_lambda_from_count_strictly_increasing(total, error_area):
     ks = np.linspace(0.0, total - 1e-9, 25)
-    vals = [lambda_from_count(float(k), total, error_area, lambda_max=1e9)
-            for k in ks]
+    vals = _from_counts(ks, np.full(25, float(total)), error_area, 1e9)
     assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
 @given(st.integers(0, 50), st.integers(1, 50))
 def test_interval_ordering_follows_count_ordering(h, m):
-    sensor = SensorModel()
-    from lambdafield import confidence_bounds
-    from lambdafield.field import CellStats
-    ci = confidence_bounds(CellStats(h, m), sensor)
-    assert ci.lambda_low <= ci.lambda_high
+    (low,), (high,) = counts_grid(h, m).bound_maps()
+    assert low <= high
 
 
 @given(lambdas, areas)
@@ -79,7 +77,7 @@ def test_expected_risk_bounded_by_max_risk(lams, ars, r_const):
 @given(lambdas, areas, st.floats(0.0, 2.0))
 def test_collision_probability_pointwise_monotone_in_lambda(lams, ars, bump):
     crossing = crossing_from(lams, ars)
-    bumped = PathCrossing.from_lambdas(crossing.lam_mle + bump, crossing.areas)
+    bumped = crossing_of(crossing.lam_mle + bump, crossing.areas)
     assert path_collision_probability(bumped) >= \
         path_collision_probability(crossing) - 1e-15
 
@@ -151,7 +149,7 @@ def test_bayes_depends_on_resolution_lambda_does_not():
     for k in (1, 2):
         area = base_area / k
         n = int(round(region / area))
-        crossing = PathCrossing.from_lambdas([intensity] * n, [area] * n)
+        crossing = crossing_of([intensity] * n, [area] * n)
         probs_lambda.append(path_collision_probability(crossing))
         probs_naive.append(naive_probability_from_occupancy([p_cell] * n))
     assert abs(probs_lambda[0] - probs_lambda[1]) < 1e-9

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lambdafield import (Beam, GridGeometry, GroundTruthMap, LambdaGrid,
-                         SensorModel, apply_scan, lambda_mle, simulate_scan)
+                         SensorModel, apply_scan, simulate_scan)
 
 
 def make_hit_beam(distance, origin=(0.05, 2.05)):
@@ -55,13 +55,12 @@ class TestApplyBeam:
             apply_scan(grid, [make_hit_beam(2.0)], sensor)
         geo = grid.geometry
         center = geo.flat(*geo.cell_of(2.05, 2.05))
-        stats = grid.stats(center)
-        assert stats.hits == n and stats.misses == 0
-        first_miss = grid.stats(geo.flat(0, 20))
-        assert first_miss.misses == n
-        expected = math.log1p(stats.hits / stats.misses) / sensor.error_area \
-            if stats.misses else grid.lambda_max
-        assert lambda_mle(stats, sensor) == expected
+        hits, misses = int(grid.hits[center]), int(grid.misses[center])
+        assert hits == n and misses == 0
+        assert grid.misses[geo.flat(0, 20)] == n
+        expected = math.log1p(hits / misses) / sensor.error_area \
+            if misses else grid.lambda_max
+        assert grid.lambda_map([center])[0] == expected
 
 
 class TestSimulateScan:
