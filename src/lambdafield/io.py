@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+from collections import namedtuple
 from collections.abc import Iterator
 from pathlib import Path
 
@@ -23,40 +24,55 @@ DUMP_VERSION = 1
 TABLE_BLOCK_ROWS = 4096
 
 
+_State = namedtuple("_State", "arrays derived index", defaults=((), None))
+
+
 def _write_table(path: str | Path, head: list, columns: list,
                  delimiter: str = ",", lineterminator: str = "\r\n") -> None:
     """Writes the ``head`` rows through ``csv.writer``, then row i of the
     equal-length ``columns`` for each i, ``TABLE_BLOCK_ROWS`` rows at a time.
-    A column is an array, a list, or a function from row numbers to the
-    column's values there (or to an array of several columns' values). Each
-    distinct bit pattern of a block's column is formatted once, by ``repr``,
-    and numbers are never quoted (no ``repr`` of one needs it)."""
-    n_rows = len(next(c for c in columns if not callable(c)))
+    A column is an array, a list or a function from row numbers to its
+    values there (each its own ``_State``), or a ``_State``: ``arrays`` like
+    those, of one dtype, whose bits (8 bytes a row at most) key the row, and
+    ``derived`` functions from row numbers to columns the key fixes. So each
+    key's text is built by ``repr`` once per block, at its first row, or with
+    an ``index`` (row i is row ``index(i)`` of the arrays) once per table."""
+    def state_text(state, rows, end):  # of each of the rows (all if None)
+        block = np.stack([a if rows is None else a(rows) if callable(a) else
+                          a[rows[0]:rows[-1] + 1] for a in state.arrays], 1)
+        keys, inverse = np.unique(block.view(f"u{block[0].nbytes}")[:, 0],
+                                  return_inverse=True)
+        first = np.full(len(keys), len(block))  # each key's first row
+        np.minimum.at(first, inverse, np.arange(len(block)))
+        cols = [*keys.view(block.dtype).reshape(len(keys), -1).T, *(
+            col for f in state.derived for col in np.atleast_2d(f(rows[first])))]
+        text = [np.array([*map(repr, col.tolist())], dtype=object) + sep for col, sep
+                in zip(cols, [delimiter] * (len(cols) - 1) + [end])]
+        return np.add.reduce(text)[inverse]
+
+    columns = [c if isinstance(c, _State) else _State((c,)) for c in columns]
+    n_rows = len(next(a for c in columns if not c.index for a in c.arrays
+                      if not callable(a)))
+    ends = [delimiter] * (len(columns) - 1) + [lineterminator]
+    tables = [c.index and state_text(c, None, end) for c, end in zip(columns, ends)]
     with open(path, "w", newline="") as fh:
         csv.writer(fh, delimiter=delimiter,
                    lineterminator=lineterminator).writerows(head)
         for start in range(0, n_rows, TABLE_BLOCK_ROWS):
-            stop = min(start + TABLE_BLOCK_ROWS, n_rows)
-            block = [col for c in columns for col in np.atleast_2d(
-                c(np.arange(start, stop)) if callable(c) else c[start:stop])]
-            ends = [delimiter] * (len(block) - 1) + [lineterminator]
-            text = []
-            for col, end in zip(block, ends):  # -0.0 and 0.0 stay apart
-                keys, inverse = np.unique(col.view(f"u{col.itemsize}"),
-                                          return_inverse=True)
-                text.append(np.array([repr(v) + end for v in keys.view(
-                    col.dtype).tolist()], dtype=object)[inverse])
+            rows = np.arange(start, min(start + TABLE_BLOCK_ROWS, n_rows))
+            text = [table[c.index(rows)] if c.index else state_text(c, rows, end)
+                    for c, table, end in zip(columns, tables, ends)]
             fh.write("".join(np.stack(text, 1).ravel().tolist()))
 
 
 def save_lambda_grid(grid: LambdaGrid, path: str | Path) -> None:
     """Versioned textual dump: geometry, sensor model and (h, m) pairs
-    in row-major order."""
+    in row-major order; each distinct pair of a block is formatted once."""
     s = grid.sensor
     _write_dump(path, LAMBDA_DUMP_MAGIC, grid.geometry,
                 [("lambda_max", grid.lambda_max),
                  ("sensor", s.p_hit, s.p_miss, s.error_area, s.max_range)],
-                "counts", [grid.hits, grid.misses])
+                "counts", [_State((grid.hits, grid.misses))])
 
 
 def load_lambda_grid(path: str | Path) -> LambdaGrid:
@@ -147,23 +163,23 @@ def _read_dump(path: str | Path, magic: str, arity: dict[str, int],
 
 
 def export_lambda_csv(grid: LambdaGrid, path: str | Path) -> None:
-    """col,row,h,m,lambda,lambda_low,lambda_high for every cell; the
-    intensities and both bounds are computed once per block of rows."""
-    _write_table(path, [("col", "row", "h", "m", "lambda", "lambda_low",
-                         "lambda_high")],
-                 [*_col_row(grid.geometry), grid.hits, grid.misses,
-                  grid.lambda_map, grid.bound_maps])
+    """col,row,h,m,lambda,lambda_low,lambda_high per cell, keyed by (h, m): one
+    ``lambda_map`` and ``bound_maps`` call a block, at each pair's first cell."""
+    _grid_csv(path, grid.geometry, ["h", "m", "lambda", "lambda_low", "lambda_high"],
+              _State((grid.hits, grid.misses), (grid.lambda_map, grid.bound_maps)))
 
 
 def export_bayes_csv(grid: BayesGrid, path: str | Path) -> None:
-    """col,row,log_odds,p_occ for every cell; p_occ is computed per block."""
-    _write_table(path, [("col", "row", "log_odds", "p_occ")],
-                 [*_col_row(grid.geometry), grid.log_odds, grid.occupancy])
+    """col,row,log_odds,p_occ for every cell, keyed by the log-odds bits."""
+    _grid_csv(path, grid.geometry, ["log_odds", "p_occ"],
+              _State((grid.log_odds,), (grid.occupancy,)))
 
 
-def _col_row(geo: GridGeometry) -> list:
-    """Table columns of each cell's col and row, from its flat index."""
-    return [lambda i: i % geo.n_cols, lambda i: i // geo.n_cols]
+def _grid_csv(path: str | Path, geo: GridGeometry, names: list, state: _State) -> None:
+    """col,row (formatted once per table), then ``state``, for every cell."""
+    _write_table(path, [("col", "row", *names)], [
+        _State((np.arange(geo.n_cols),), index=lambda i: i % geo.n_cols),
+        _State((np.arange(geo.n_rows),), index=lambda i: i // geo.n_cols), state])
 
 
 def export_lambda_pgm(grid: LambdaGrid, path: str | Path) -> None:

@@ -147,9 +147,9 @@ def _sweep(geometry: GridGeometry, pts: list[np.ndarray],
     step end far off the grid is dropped before any sample is built.
     Consecutive paths are then sampled together, up to ``SWEEP_SAMPLES``
     samples at a time (a larger path alone): one flat-index pass, one
-    ``np.unique`` over the (path, cell) keys, ordered by first occurrence,
-    and one ``np.bincount``, which adds each key's sample areas in traversal
-    order.
+    ``np.unique`` over the first (path, cell) key of each run of equal ones,
+    ordered by first occurrence, and one ``np.bincount``, which adds each
+    key's sample areas in traversal order.
     """
     spacing = geometry.resolution / SAMPLES_PER_CELL
     n_w = max(3, int(math.ceil(width / spacing)))
@@ -210,9 +210,11 @@ def _sweep(geometry: GridGeometry, pts: list[np.ndarray],
             exits[owner[outside]] = True
             inside = np.repeat(~exits[owner], n_w)
             keys, weights = keys[inside], weights[inside]
-        keys, first, inverse = np.unique(keys, return_index=True,
+        head = np.flatnonzero(np.diff(keys, prepend=-1))  # heads of equal runs
+        keys, first, inverse = np.unique(keys[head], return_index=True,
                                          return_inverse=True)
-        order = np.argsort(first)
+        order = np.argsort(head[first])
+        inverse = np.repeat(inverse, np.diff(head, append=len(weights)))
         areas = np.bincount(inverse, weights)[order].astype(np.float64, copy=False)
         keys = keys[order]
         local = keys // geometry.n_cells
@@ -265,32 +267,29 @@ def path_collision_probability(crossing: PathCrossing,
     return collision_probability(float(np.dot(crossing.areas, lam)))
 
 
-def partial_risks(crossing: PathCrossing, risk_fn: Callable[[float], float],
+def partial_risks(crossing: PathCrossing, risk_fn: Callable,
                   use_bound: str = "mle") -> np.ndarray:
     """Per-cell terms r(A(i)) * survive_i * hit_i of ``expected_risk`` over
     ``risk_terms``, with r evaluated at each cell's cumulative-area left
-    endpoint."""
+    endpoint: ``risk_fn`` maps the array of them to risks (or one scalar)."""
     _, cum, survive, hit = risk_terms(crossing, use_bound)
-    r_vals = np.array([risk_fn(float(ai)) for ai in cum[:-1]])
-    return r_vals * survive * hit
+    return risk_fn(cum[:-1]) * survive * hit
 
 
-def expected_risk(crossing: PathCrossing, risk_fn: Callable[[float], float],
+def expected_risk(crossing: PathCrossing, risk_fn: Callable,
                   use_bound: str = "mle") -> float:
-    """Expectation of risk_fn at the first-collision location: the sum of
-    ``partial_risks``."""
+    """Expectation of risk_fn (areas -> risks, see ``partial_risks``) at the
+    first-collision location: the sum of ``partial_risks``."""
     return float(np.sum(partial_risks(crossing, risk_fn, use_bound)))
 
 
-def momentum_risk(shape: RobotShape,
-                  velocity: Callable[[float], float]) -> Callable[[float], float]:
-    """Momentum lost in a full stop at crossed area a: mass * v(s), s = a / width."""
-    def risk(a: float) -> float:
-        return shape.mass * velocity(a / shape.width)
-    return risk
+def momentum_risk(shape: RobotShape, velocity: Callable) -> Callable:
+    """Momentum mass * v(a / width) lost in a full stop at an array a of areas."""
+    return lambda a: shape.mass * velocity(a / shape.width)
 
 
-def constant_velocity(v: float) -> Callable[[float], float]:
+def constant_velocity(v: float) -> Callable:
+    """The speed profile v(s) = v, a scalar for an array of s as well."""
     if not 0 <= v < math.inf:
         raise ValueError(f"speed must be finite and >= 0, got {v}")
     return lambda s: v

@@ -382,6 +382,17 @@ def _random_grids(cols, rows, seed):
     return grid, bayes
 
 
+def _assert_grid_files_match(grid, bayes, tmp_path):
+    """Both dumps and both CSVs of the grids equal their oracles' bytes."""
+    for write, oracle, g in [
+            (lfio.save_lambda_grid, _oracle_save_lambda_grid, grid),
+            (lfio.export_lambda_csv, _oracle_export_lambda_csv, grid),
+            (lfio.save_bayes_grid, _oracle_save_bayes_grid, bayes),
+            (lfio.export_bayes_csv, _oracle_export_bayes_csv, bayes)]:
+        assert _same_bytes(tmp_path, lambda f: write(g, f),
+                           lambda f: oracle(g, f)), write.__name__
+
+
 class TestWritersMatchOracles:
     """Every table writer gives the bytes of the per-row writer it replaced;
     64 x 64 is one whole block of ``TABLE_BLOCK_ROWS`` and 70 x 61 spills
@@ -391,13 +402,25 @@ class TestWritersMatchOracles:
                                                 (70, 61, 2), (13, 9, 3)])
     def test_grid_files(self, cols, rows, seed, tmp_path):
         grid, bayes = _random_grids(cols, rows, seed)
-        for write, oracle, g in [
-                (lfio.save_lambda_grid, _oracle_save_lambda_grid, grid),
-                (lfio.export_lambda_csv, _oracle_export_lambda_csv, grid),
-                (lfio.save_bayes_grid, _oracle_save_bayes_grid, bayes),
-                (lfio.export_bayes_csv, _oracle_export_bayes_csv, bayes)]:
-            assert _same_bytes(tmp_path, lambda f: write(g, f),
-                               lambda f: oracle(g, f)), write.__name__
+        _assert_grid_files_match(grid, bayes, tmp_path)
+
+    # (h, m) pairs that a key of their sum, of h << 16 | m or of a shift
+    # in 32 bits would merge, and COUNT_MAX in either place
+    COLLIDING_PAIRS = [(1, 0), (0, 1), (0, 2 ** 16), (2 ** 16, 0), (1, 1),
+                       (0, 0), (COUNT_MAX, 0), (0, COUNT_MAX),
+                       (COUNT_MAX, COUNT_MAX), (COUNT_MAX, 1), (1, COUNT_MAX)]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_counts_a_wrong_key_would_merge(self, seed, tmp_path):
+        """70 x 61 cells (two blocks) of the colliding pairs, and log-odds
+        whose values are equal but whose bits are not (-0.0 and 0.0)."""
+        grid, bayes = _random_grids(70, 61, seed)
+        rng = np.random.default_rng(seed)
+        pairs = np.array(self.COLLIDING_PAIRS, dtype=np.uint32)
+        grid.hits[:], grid.misses[:] = pairs[rng.integers(
+            0, len(pairs), grid.geometry.n_cells)].T
+        bayes.log_odds[:] = rng.choice([0.0, -0.0, 7.5, -7.5], len(bayes.log_odds))
+        _assert_grid_files_match(grid, bayes, tmp_path)
 
     @pytest.mark.parametrize("n", [0, 1200])
     @pytest.mark.parametrize("bound", ["mle", "lower", "upper"])
@@ -600,10 +623,20 @@ class TestWriteTableMatchesCsvWriter:
                 == (directory / "oracle").read_bytes())
 
 
+def _first_cells(grid, start):
+    """The first cell of each distinct (h, m) pair of the block of rows
+    from ``start``, in cell order."""
+    rows = slice(start, start + lfio.TABLE_BLOCK_ROWS)
+    _, first = np.unique(np.stack([grid.hits[rows], grid.misses[rows]], 1),
+                         axis=0, return_index=True)
+    return np.sort(first) + start
+
+
 def test_each_distinct_value_formatted_once_per_block(monkeypatch, tmp_path):
-    """A 400 x 400 export whose columns hold few distinct values formats
-    each distinct bit pattern once per block of rows, not each of its 1.12 M
-    cells."""
+    """A 400 x 400 export whose counts hold few distinct pairs formats the
+    five count-dependent values of each distinct (h, m) pair once per block
+    of rows, and each col and row number once per table, not each of its
+    1.12 M values."""
     grid, _ = _random_grids(400, 400, 7)
     calls = 0
 
@@ -614,19 +647,17 @@ def test_each_distinct_value_formatted_once_per_block(monkeypatch, tmp_path):
 
     monkeypatch.setattr(lfio, "repr", counting_repr, raising=False)
     lfio.export_lambda_csv(grid, tmp_path / "grid.csv")
-    cells = np.arange(grid.geometry.n_cells)
-    columns = [cells % grid.geometry.n_cols, cells // grid.geometry.n_cols,
-               grid.hits, grid.misses, grid.lambda_map(), *grid.bound_maps()]
-    expected = sum(len(np.unique(c[start:start + lfio.TABLE_BLOCK_ROWS].view(
-                       f"u{c.itemsize}")))
-                   for start in range(0, len(cells), lfio.TABLE_BLOCK_ROWS)
-                   for c in columns)
-    assert calls == expected < 30_000
+    geo = grid.geometry
+    expected = geo.n_cols + geo.n_rows + 5 * sum(
+        len(_first_cells(grid, start))
+        for start in range(0, geo.n_cells, lfio.TABLE_BLOCK_ROWS))
+    assert calls == expected < 10_000
 
 
 def test_bounds_computed_once_per_block(monkeypatch, tmp_path):
     """The intensity CSV takes both bound columns of a block from one
-    ``bound_maps`` call; 70 x 61 cells are two blocks."""
+    ``bound_maps`` call on the first cell of each distinct (h, m) pair of
+    the block; 70 x 61 cells are two blocks."""
     grid, _ = _random_grids(70, 61, 8)
     blocks = []
     bound_maps = LambdaGrid.bound_maps
@@ -634,3 +665,5 @@ def test_bounds_computed_once_per_block(monkeypatch, tmp_path):
                         blocks.append(cells) or bound_maps(self, cells))
     lfio.export_lambda_csv(grid, tmp_path / "grid.csv")
     assert len(blocks) == 2
+    for start, cells in zip((0, lfio.TABLE_BLOCK_ROWS), blocks):
+        assert sorted(cells.tolist()) == _first_cells(grid, start).tolist()

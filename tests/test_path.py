@@ -329,6 +329,18 @@ class TestExpectedRisk:
         cap = (2.0 + crossing.areas.sum()) * path_collision_probability(crossing)
         assert 0.0 <= risk <= cap
 
+    def test_array_risk_equals_per_cell_scalar_sum(self, rng):
+        """A ramp speed profile, called once on the array of left-edge
+        areas, gives the per-cell scalar sum bit for bit."""
+        shape = RobotShape(0.4, 0.6, 20.0)
+        risk = momentum_risk(shape, lambda s: np.minimum(s, 1.0))
+        crossing = crossing_of(rng.random(300) * 4.0,
+                               rng.random(300) * 0.01 + 0.001)
+        _, cum, survive, hit = path.risk_terms(crossing)
+        terms = np.array([risk(float(a)) for a in cum[:-1]]) * survive * hit
+        assert cum[-2] / shape.width > 1.0  # the ramp saturates on the way
+        assert expected_risk(crossing, risk) == float(np.sum(terms))
+
     def test_bound_choice_is_monotone_for_constant_risk(self, observed_free_grid):
         observed_free_grid.hits[400:440] = 2
         shape = RobotShape(0.3, 0.2, 20.0)
