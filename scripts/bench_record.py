@@ -12,6 +12,9 @@ run's final line in the order run. ``"parent"`` and ``"change"`` give per
 workload whether every run was correct, the ops attempted and failed over
 all runs, and per metric the median and quartiles over the side's runs
 (judge a metric by its median; the quartiles show the run-to-run spread).
+``"pair_wins"`` gives per workload and end-to-end metric how many of the
+pairs the change won: its run was better than the parent's run of the same
+pair, in the direction that ``BENCHMARK.json`` declares.
 Then each side runs every workload once more with ``--trace 1``, whose final
 line holds the per-layer metrics (self times per op); they go under
 ``"traced"``.
@@ -59,6 +62,23 @@ def summary(lines: list[dict]) -> dict:
             "metrics": metrics}
 
 
+def pair_wins(runs: list[dict], end_to_end: list[dict]) -> dict:
+    """Per declared end-to-end metric, the pairs of ``runs`` (one workload's
+    ``"runs"`` entry) in which the change's value beat the parent's."""
+    pairs: dict[int, dict] = {}
+    for run in runs:
+        pairs.setdefault(run["pair"], {})[run["side"]] = run["line"]["metrics"]
+    wins = {}
+    for metric in end_to_end:
+        name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
+        won = sum(sign * (pair["parent"][name]["value"]
+                          - pair["change"][name]["value"]) > 0
+                  for pair in pairs.values())
+        wins[name] = {"won": int(won), "pairs": len(pairs),
+                      "better": metric["better"]}
+    return wins
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True,
@@ -72,8 +92,8 @@ def main() -> None:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
-        "pairs": PAIRS, "runs": {},
-        "parent": {}, "change": {}, "traced": {"parent": {}, "change": {}},
+        "pairs": PAIRS, "runs": {}, "parent": {}, "change": {},
+        "pair_wins": {}, "traced": {"parent": {}, "change": {}},
     }
     workloads = [w["name"] for w in declared["workloads"]]
     for workload in workloads:
@@ -88,6 +108,7 @@ def main() -> None:
         for side in checkouts:
             record[side][workload] = summary(
                 [run["line"] for run in runs if run["side"] == side])
+        record["pair_wins"][workload] = pair_wins(runs, declared["end_to_end"])
     for workload in workloads:
         for side, checkout in checkouts.items():
             print(f"{side} {workload} traced", file=sys.stderr, flush=True)

@@ -38,6 +38,8 @@ from .sensor import GroundTruthMap, apply_scan, simulate_scan
 
 EXIT_CONFIG = 2
 EXIT_IO = 3
+# libyaml's parser with the same safe constructor and resolver, if it is built
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def _object(*required: str, **properties: dict) -> dict:
@@ -116,7 +118,7 @@ class Scenario:
         path = Path(path)
         text = _load(Path.read_text, path)
         try:
-            raw = yaml.safe_load(text) or {}
+            raw = yaml.load(text, Loader=YAML_LOADER) or {}
         except yaml.YAMLError as exc:
             raise ValueError(f"scenario is not valid YAML: {exc}")
         if not isinstance(raw, dict):

@@ -36,7 +36,9 @@ def trace_beam(geometry: GridGeometry, origins, endpoints) -> np.ndarray:
     the simulator traced them, and ``bayes_scan`` traces ``apply_scan``'s
     segments, so each scan's segments are walked once. The result equals a
     full walk byte for byte, and it is always a fresh array the caller may
-    change; the module keeps one copy of it until the next call.
+    change; the module keeps one copy of it until the next call. A call that
+    reuses every row of a same-length call, or none, copies that array
+    without restacking the rows.
     """
     global _last
     o, e = np.broadcast_arrays(*(np.reshape(np.asarray(p, float), (-1, 2))
@@ -47,10 +49,15 @@ def trace_beam(geometry: GridGeometry, origins, endpoints) -> np.ndarray:
     same = np.zeros(len(o), bool)
     same[:k] = (segments[:k].view(np.uint64)
                 == last_segments[:k].view(np.uint64)).all(axis=1)
-    new = ~same
-    pairs = _stack(len(o), [(same, last[:k][same[:k]]),
-                            (new, _walk(geometry, o[new], e[new]).view(np.int64))]
-                   ).view(np.int64)
+    if same.all() and len(o) == len(last):
+        pairs = last
+    elif not same.any():
+        pairs = _walk(geometry, o, e).view(np.int64)
+    else:
+        new = ~same
+        pairs = _stack(len(o), [(same, last[:k][same[:k]]),
+                                (new, _walk(geometry, o[new], e[new]).view(np.int64))]
+                       ).view(np.int64)
     _last = (geometry, segments, pairs)
     return pairs.copy().view(CELL_CHORD)
 
@@ -111,12 +118,17 @@ def _walk(geometry: GridGeometry, o: np.ndarray, e: np.ndarray) -> np.ndarray:
 
     # edges are 0, the crossings in time order, then t_end; the cell entered
     # at a crossing is the start cell moved by each axis's crossings so far
-    # (at a tie the cell in between gets a zero chord, a dropped sliver)
+    # (at a tie the cell in between gets a zero chord, a dropped sliver; the
+    # sorted times equal the times gathered in ``order`` but for the order of
+    # a +0.0 and a -0.0, which changes only zero chords)
     order = np.argsort(times, axis=1, kind="stable")
-    edges = np.minimum(np.pad(np.take_along_axis(times, order, axis=1),
-                              ((0, 0), (1, 1)), constant_values=(0.0, math.inf)), t_end)
+    edges = np.empty((len(times), times.shape[1] + 2))
+    edges[:, 0], edges[:, -1] = 0.0, math.inf
+    edges[:, 1:-1] = np.sort(times, axis=1)
+    np.minimum(edges, t_end, out=edges)
     chords = (edges[:, 1:] - edges[:, :-1]) * seg_len
-    x_steps = np.pad(np.cumsum(order < times.shape[1] // 2, axis=1), ((0, 0), (1, 0)))
+    x_steps = np.zeros((len(times), times.shape[1] + 1), np.int32)
+    np.cumsum(order < times.shape[1] // 2, axis=1, out=x_steps[:, 1:])
     y_steps = np.arange(times.shape[1] + 1) - x_steps
     # drop the cells past a grid exit (an axis's n_left-th crossing) and slivers
     keep = ((x_steps < n_left[:, :1]) & (y_steps < n_left[:, 1:])

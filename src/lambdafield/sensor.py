@@ -88,8 +88,10 @@ def apply_scan(grid: LambdaGrid, beams: list[Beam], sensor: SensorModel) -> None
     cells = trace_beam(geo, origins, ends)["cell"]
     ends, hit = ends[:len(cells)], hit[:len(cells)]
     grid.add_hits(error_region_cells(geo, ends[hit], radius))
-    disk = hit[:, None] & centre_in_disk(geo, cells, ends[:, :1], ends[:, 1:], radius)
-    grid.add_misses(cells[(cells >= 0) & (np.cumsum(disk, axis=1) == 0)])
+    missed = cells >= 0
+    missed[hit] &= ~np.logical_or.accumulate(centre_in_disk(
+        geo, cells[hit], ends[hit, :1], ends[hit, 1:], radius), axis=1)
+    grid.add_misses(cells[missed])
 
 
 def simulate_scan(truth: GroundTruthMap, pose: tuple[float, float, float],

@@ -142,17 +142,22 @@ def apply_beam(grid, beam: Beam, sensor) -> None:
 
 def bayes_update(grid, beam: Beam) -> None:
     """One beam into the log-odds: crossed cells toward free, then the cell
-    holding a hit beam's endpoint toward occupied, each step clipped."""
+    holding a hit beam's endpoint toward occupied, each step clipped. The
+    steps are this oracle's own clipped adds, one cell at a time."""
     end = beam.endpoint()
-    cells = walk_records(grid.geometry, beam.origin, end)["cell"]
-    if not len(cells):
+    cells = walk_records(grid.geometry, beam.origin, end)["cell"].tolist()
+    if not cells:
         return
+    occupied = -1
     if beam.hit and grid.geometry.contains(*end):
         occupied = grid.geometry.flat(*grid.geometry.cell_of(*end))
-        grid._bump(cells[cells != occupied], grid.l_free)
-        grid._bump(np.asarray([occupied]), grid.l_occ)
-    else:
-        grid._bump(cells, grid.l_free)
+    steps = [(c, grid.l_free) for c in cells if c != occupied]
+    if occupied >= 0:
+        steps.append((occupied, grid.l_occ))
+    clamp = grid.log_odds_clamp
+    for cell, delta in steps:
+        grid.log_odds[cell] = min(max(float(grid.log_odds[cell]) + delta,
+                                      -clamp), clamp)
 
 
 def simulate_scan(truth, pose, sensor, beam_count: int, seed: int) -> list:

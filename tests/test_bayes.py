@@ -1,7 +1,11 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from lambdafield import Beam, BayesGrid, bayes_scan, naive_path_probability
+from lambdafield import (Beam, BayesGrid, GridGeometry, SensorModel, bayes_scan,
+                         naive_path_probability, raycast)
 from lambdafield.bayes import naive_probability_from_occupancy
 
 
@@ -46,6 +50,26 @@ class TestBayesUpdate:
         cells = rng.integers(geometry.n_cells, size=50)
         for pick in (cells, slice(7, 300), np.array([], np.int64)):
             assert grid.occupancy(pick).tobytes() == whole[pick].tobytes()
+
+    def test_fold_memory_is_bounded(self, monkeypatch, rng):
+        """3600 beams from one point on a 400 x 400 grid of distinct
+        log-odds: the run fold's cumsum tables come in bounded chunks
+        (338 MB peak when built at once), so the scan peaks at about the
+        trace's own size."""
+        monkeypatch.setattr(raycast, "_last", raycast._last)  # restored afterwards
+        geo = GridGeometry(0.0, 0.0, 0.05, 400, 400)
+        angles = 2 * math.pi * np.arange(3600) / 3600
+        beams = [Beam((10.0, 10.0), (math.cos(a), math.sin(a)), float(r), True)
+                 for a, r in zip(angles, rng.uniform(0.5, 8.0, 3600))]
+        grid = BayesGrid(geo)
+        grid.log_odds[:] = rng.uniform(-10.0, 10.0, geo.n_cells)
+        tracemalloc.start()
+        try:
+            bayes_scan(grid, beams, SensorModel())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 60e6
 
     def test_invalid_model_rejected(self, geometry):
         with pytest.raises(ValueError):

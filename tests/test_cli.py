@@ -8,7 +8,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from lambdafield.cli import main
+from lambdafield.cli import YAML_LOADER, main
 
 SCENARIO = """
 grid: {{origin: [0.0, 0.0], resolution: 0.1, cols: 40, rows: 40}}
@@ -453,3 +453,23 @@ class TestCompare:
         result = runner.invoke(main, ["compare", "--base-prob", "1.5",
                                       "--resolutions", "0.1"])
         assert result.exit_code == 2
+
+
+def test_scenario_loader_reads_as_the_pure_python_loader():
+    """The scenario loader (libyaml's, where it is built) gives the same
+    mappings as ``yaml.SafeLoader`` for the README's and the tests'
+    scenarios, and raises ``yaml.YAMLError`` on malformed text alike."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    texts = [block.split("```", 1)[0] for block in readme.split("```yaml\n")[1:]]
+    texts += [SCENARIO.format(max_steps=40), WITH_TRUTH_CSV, OFF_GRID_SCAN,
+              scenario(bayes={"clamp": math.nan}),
+              scenario(sensor={"max_range": math.inf})]
+    assert len(texts) == 6 and YAML_LOADER is (
+        yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+    for text in texts:
+        fast, slow = (yaml.load(text, Loader=loader)
+                      for loader in (YAML_LOADER, yaml.SafeLoader))
+        assert isinstance(fast, dict) and repr(fast) == repr(slow)
+    for loader in (YAML_LOADER, yaml.SafeLoader):
+        with pytest.raises(yaml.YAMLError):
+            yaml.load("grid: [cols: 4\n", Loader=loader)

@@ -125,14 +125,21 @@ def test_trace_beam_reuses_rows_byte_for_byte(monkeypatch, geometry, rng):
     """Under full, partial and no reuse, a changed geometry and a changed row
     count, with NaN and infinite rows among them, ``trace_beam`` returns the
     bytes of a fresh walk, and walks exactly the rows whose segment bits (or
-    geometry) differ from its previous call's."""
-    real, walked = raycast._walk, []
+    geometry) differ from its previous call's. A call that reuses every row
+    of a call with as many rows, or no row, restacks nothing."""
+    real, walked, stacked = raycast._walk, [], []
+    real_stack = raycast._stack
 
     def counted(geo, o, e):
         walked.append(len(o))
         return real(geo, o, e)
 
+    def counted_stack(n, parts):
+        stacked.append(n)
+        return real_stack(n, parts)
+
     monkeypatch.setattr(raycast, "_walk", counted)
+    monkeypatch.setattr(raycast, "_stack", counted_stack)
     monkeypatch.setattr(raycast, "WALK_CROSSINGS", 1 << 30)  # one call, no chunks
     monkeypatch.setattr(raycast, "_last", (None,) + raycast._last[1:])
     o, e = segment_arrays(oracle_beams(geometry, rng))
@@ -145,18 +152,22 @@ def test_trace_beam_reuses_rows_byte_for_byte(monkeypatch, geometry, rng):
     finer = GridGeometry(geometry.origin_x, geometry.origin_y,
                          geometry.resolution / 2, 2 * geometry.n_cols,
                          2 * geometry.n_rows)
-    calls = [(geometry, o, e, n),                          # no reuse
-             (geometry, o, e, 0),                          # full reuse
-             (geometry, o, shifted, differs.sum()),        # partial reuse
-             (geometry, o[:half], shifted[:half], 0),      # fewer rows
-             (geometry, o, e, differs[:half].sum() + n - half),  # more rows
-             (geometry, moved, e, len(moved[1::4])),
-             (finer, o, e, n)]                             # another geometry
+    calls = [(geometry, o, e, n, False),                   # no reuse
+             (geometry, o, e, 0, False),                   # full reuse
+             (geometry, o, shifted, differs.sum(), True),  # partial reuse
+             (geometry, o, shifted, 0, False),             # full reuse of a stack
+             (geometry, o[:half], shifted[:half], 0, True),  # fewer rows
+             (geometry, o, e, differs[:half].sum() + n - half, True),  # more rows
+             (geometry, moved, e, len(moved[1::4]), True),
+             (finer, o, e, n, False)]                      # another geometry
     assert 0 < differs.sum() < n and np.isnan(e).any() and np.isinf(e).any()
-    for geo, origins, ends, rows_walked in calls:
+    for geo, origins, ends, rows_walked, restacked in calls:
         walked.clear()
+        stacked.clear()
         got = trace_beam(geo, origins, ends)
-        assert walked == [rows_walked]
+        # a restack walks its new rows, even none; a fast path walks all or none
+        assert walked == ([rows_walked] if restacked or rows_walked else [])
+        assert stacked == ([len(origins)] if restacked else [])
         want = real(geo, origins, ends)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 

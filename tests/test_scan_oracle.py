@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lambdafield
 from lambdafield import (Beam, BayesGrid, GridGeometry, GroundTruthMap,
@@ -82,6 +84,107 @@ def test_log_odds_equal_per_beam_oracle(geometry, clamp, rng):
             oracle.bayes_update(expected, beam)
     assert (np.abs(grid.log_odds) == clamp).any()
     assert grid.log_odds.tobytes() == expected.log_odds.tobytes()
+
+
+def flicker_scan(geometry: GridGeometry, rng, n: int = 300) -> list[Beam]:
+    """Short spurious returns along a few bearings from one origin, hits and
+    no-returns mixed: a cell on such a bearing is crossed by some beams and
+    holds the return of others, so its steps change sign many times within
+    the scan."""
+    origin = (geometry.origin_x + 0.37 * geometry.width,
+              geometry.origin_y + 0.61 * geometry.height)
+    angles = rng.random(4) * 2 * math.pi
+    reach = 8 * geometry.resolution
+    return [Beam(origin, (math.cos(a), math.sin(a)), float(r), bool(h))
+            for a, r, h in zip(rng.choice(angles, n), rng.random(n) * reach,
+                               rng.random(n) < 0.7)]
+
+
+def sign_runs(geometry: GridGeometry, beams: list[Beam]) -> int:
+    """The most runs of one sign that the per-beam rule gives one cell."""
+    signs: dict[int, list[bool]] = {}
+    for beam in beams:
+        end = beam.endpoint()
+        occupied = -1
+        if beam.hit and geometry.contains(*end):
+            occupied = geometry.flat(*geometry.cell_of(*end))
+        cells = [c for c, _ in oracle.incremental_walk(geometry, beam.origin, end)]
+        for c in cells:
+            signs.setdefault(c, []).append(c == occupied)
+        if cells and occupied >= 0 and occupied not in cells:
+            signs.setdefault(occupied, []).append(True)
+    return max((1 + sum(a != b for a, b in zip(s, s[1:])) for s in signs.values()),
+               default=0)
+
+
+def assert_fold_equals_oracle(geometry, scans, clamp, p_occ, p_free, start):
+    grid = BayesGrid(geometry, p_occ, p_free, log_odds_clamp=clamp)
+    grid.log_odds[:] = start
+    expected = BayesGrid(geometry, p_occ, p_free, log_odds_clamp=clamp)
+    expected.log_odds[:] = start
+    for beams in scans:
+        bayes_scan(grid, beams, SensorModel())
+        for beam in beams:
+            oracle.bayes_update(expected, beam)
+        assert grid.log_odds.tobytes() == expected.log_odds.tobytes()
+
+
+@pytest.mark.parametrize("p_occ, p_free", [(0.7, 0.7), (0.97, 0.55), (0.52, 0.9)])
+@pytest.mark.parametrize("clamp", [0.5, 1.0, 3.3, 10.0])
+def test_log_odds_fold_equals_oracle_through_sign_changes(clamp, p_occ, p_free, rng):
+    """Cells whose steps change sign many times within one scan, from start
+    values inside and beyond the clamp, with asymmetric steps."""
+    geometry = GEOMETRIES[1]
+    scans = [flicker_scan(geometry, rng) for _ in range(3)]
+    assert min(sign_runs(geometry, beams) for beams in scans) >= 6
+    for spread in (0.0, 3.0):  # 3.0: start values up to three clamps away
+        start = rng.uniform(-spread, spread, geometry.n_cells) * clamp
+        assert_fold_equals_oracle(geometry, scans, clamp, p_occ, p_free, start)
+
+
+@pytest.mark.parametrize("table_cells", [1, 7, 1 << 16])
+def test_log_odds_fold_in_small_tables(monkeypatch, table_cells, rng):
+    """The cumsum tables split into chunks of rows give the same bits."""
+    monkeypatch.setattr(lambdafield.bayes, "FOLD_TABLE_CELLS", table_cells)
+    geometry = GEOMETRIES[0]
+    scans = [random_scan(geometry, rng), flicker_scan(geometry, rng)]
+    start = np.round(rng.uniform(-2.0, 2.0, geometry.n_cells), 1)  # shared starts
+    assert_fold_equals_oracle(geometry, scans, 1.5, 0.8, 0.6, start)
+
+
+def test_log_odds_fold_with_int64_keys(rng):
+    """A scan whose step keys do not fit in int32 (cells << beam bits) is
+    sorted as int64 and folds to the same bits."""
+    geometry = GridGeometry(0.0, 0.0, 0.05, 500, 500)
+    beams = flicker_scan(geometry, rng, 4100)
+    cells = [c for c, _ in oracle.incremental_walk(geometry, beams[0].origin,
+                                                   beams[0].endpoint())]
+    assert max(cells) << len(beams).bit_length() + 1 > np.iinfo(np.int32).max
+    start = rng.uniform(-2.0, 2.0, geometry.n_cells)
+    assert_fold_equals_oracle(geometry, [beams], 2.0, 0.8, 0.6, start)
+
+
+@pytest.mark.parametrize("beams", [
+    [], [Beam((1.05, 2.05), (1.0, 0.3), 1.7, True)],
+    [Beam((1.05, 2.05), (math.nan, 0.0), 1.0, True)],
+    [Beam((1.05, 2.05), (1.0, 0.0), 0.0, True)]],
+    ids=["no beam", "one beam", "NaN beam", "zero-length beam"])
+def test_log_odds_fold_of_tiny_scans(geometry, beams, rng):
+    start = rng.uniform(-12.0, 12.0, geometry.n_cells)
+    assert_fold_equals_oracle(geometry, [beams], 10.0, 0.7, 0.7, start)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), clamp=st.floats(0.5, 10.0),
+       p_occ=st.floats(0.501, 0.999), p_free=st.floats(0.501, 0.999),
+       spread=st.floats(0.0, 3.0), n=st.integers(0, 40))
+def test_log_odds_fold_equals_oracle_property(seed, clamp, p_occ, p_free,
+                                              spread, n):
+    geometry = GEOMETRIES[2]
+    rng = np.random.default_rng(seed)
+    scans = [flicker_scan(geometry, rng, n), random_scan(geometry, rng, n)]
+    start = rng.uniform(-spread, spread, geometry.n_cells) * clamp
+    assert_fold_equals_oracle(geometry, scans, clamp, p_occ, p_free, start)
 
 
 def test_nan_hit_beam_raises_before_any_count(grid, sensor):
@@ -176,7 +279,7 @@ def test_each_scan_function_traces_once(monkeypatch, geometry, sensor, rng):
     assert calls == [90, 90, ("disks", hits)] and walked == [90, returned]
     bayes_scan(BayesGrid(geometry), beams, sensor)
     assert calls == [90, 90, ("disks", hits), 90]
-    assert walked == [90, returned, 0]
+    assert walked == [90, returned]  # every row reused: no walk at all
     bayes_scan(BayesGrid(geometry), random_scan(geometry, rng), sensor)
     assert calls == [90, 90, ("disks", hits), 90, 151]
-    assert walked == [90, returned, 0, 151]
+    assert walked == [90, returned, 151]
