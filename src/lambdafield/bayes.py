@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .field import SensorModel
+from .field import SensorModel, collision_probability
 from .geometry import GridGeometry
 from .raycast import trace_beam
 from .sensor import Beam, beam_arrays
@@ -61,10 +61,7 @@ def bayes_scan(grid: BayesGrid, beams: list[Beam], sensor: SensorModel) -> None:
     cells = np.ascontiguousarray(trace_beam(geo, origins, ends)["cell"])
     n = len(cells)
     ends, hit = ends[:n], hit[:n]
-    occupied = np.full(n, -1)
-    on_grid = hit & geo.contains(ends[:, 0], ends[:, 1])
-    cols, rows = geo.cell_of(ends[on_grid, 0], ends[on_grid, 1])
-    occupied[on_grid] = rows * geo.n_cols + cols
+    occupied = np.where(hit, geo.flat_or_outside(ends[:, 0], ends[:, 1]), -1)
     occupied[~(cells[:, :1] >= 0).any(axis=1)] = -1  # crosses no cell: no step
     # each step is one key, cell << shift | beam << 1 | occupied: sorted keys
     # give each cell's steps in beam order (a beam steps a cell at most once)
@@ -128,16 +125,8 @@ def _fold_runs(grid: BayesGrid, v: np.ndarray, occ: np.ndarray,
 
 
 def naive_path_probability(grid: BayesGrid, cells) -> float:
-    """1 - prod(1 - p_occ) over the crossed cells (flat indices): the
-    textbook path collision probability whose value depends on the
-    tessellation size."""
-    return naive_probability_from_occupancy(
-        grid.occupancy(np.asarray(cells, dtype=np.int64)))
-
-
-def naive_probability_from_occupancy(probabilities) -> float:
-    """The product rule on raw per-cell occupancy probabilities."""
-    p = np.asarray(probabilities, dtype=np.float64)
-    if p.size == 0:
-        return 0.0
-    return float(-np.expm1(np.sum(np.log1p(-p))))
+    """1 - prod(1 - p_occ) over the crossed cells (flat indices), the
+    textbook path probability that depends on the tessellation size:
+    ``collision_probability`` of the exposure -sum(ln(1 - p_occ))."""
+    p = grid.occupancy(np.asarray(cells, dtype=np.int64))
+    return collision_probability(float(np.sum(-np.log1p(-p))))

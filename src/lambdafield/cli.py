@@ -15,7 +15,6 @@ read through ``_load``, which reports any failure to read or parse it as 3.
 from __future__ import annotations
 
 import math
-import os
 import sys
 from collections.abc import Iterator
 from pathlib import Path
@@ -181,12 +180,8 @@ class ErrorBoundary(click.Group):
 
 
 def _output_dir(explicit: str | None, scenario: Scenario | None = None) -> Path:
-    if explicit:
-        out = Path(explicit)
-    elif scenario and "output_dir" in scenario.raw:
-        out = Path(scenario.raw["output_dir"])
-    else:
-        out = Path(os.environ.get("LAMBDAFIELD_OUTPUT_DIR", "."))
+    default = scenario.raw.get("output_dir", ".") if scenario else "."
+    out = Path(explicit or default)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -358,7 +353,8 @@ def cmd_compare(base_prob, base_resolution, base_cells, resolutions,
     n_cells = [max(1, round(region_area / (r * r))) for r in res_list]
     p_lambda = [collision_probability(n * (r * r) * intensity)
                 for n, r in zip(n_cells, res_list)]
-    p_bayes = [-math.expm1(n * math.log1p(-base_prob)) for n in n_cells]
+    p_bayes = [collision_probability(-n * math.log1p(-base_prob))
+               for n in n_cells]
     lfio._write_table(out / "compare.csv",
                       [("resolution", "p_lambda", "p_bayes_naive")],
                       [res_list, p_lambda, p_bayes])

@@ -13,7 +13,10 @@ class GridGeometry:
 
     Cell (0, 0) has its lower-left corner at ``origin``; columns grow with x,
     rows with y. Cells are indexed either as (col, row) pairs or as flat
-    row-major indices ``row * n_cols + col``.
+    row-major indices ``row * n_cols + col``. One point-to-cell rule serves
+    ``cell_of``, ``flat_or_outside`` and ``flat_of_points``: ``contains``
+    decides what is inside, and an inside point's (col, row) is its offset
+    from the origin in cells, truncated and clamped to the last cell.
     """
 
     origin_x: float
@@ -51,12 +54,10 @@ class GridGeometry:
 
     def cell_of(self, x, y):
         """(col, row) of the cell holding each world point; raises if one is outside."""
-        if not np.all(self.contains(x, y)):
+        cols, rows, inside = self._cells(x, y)
+        if not np.all(inside):
             raise ValueError(f"point ({x}, {y}) outside grid")
-        col = np.int64((x - self.origin_x) / self.resolution)
-        row = np.int64((y - self.origin_y) / self.resolution)
-        # guard against floating-point landing exactly on the upper boundary
-        return np.minimum(col, self.n_cols - 1), np.minimum(row, self.n_rows - 1)
+        return cols, rows
 
     def cell_center(self, col: int, row: int) -> tuple[float, float]:
         return (self.origin_x + (col + 0.5) * self.resolution,
@@ -82,7 +83,20 @@ class GridGeometry:
     def flat_or_outside(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Vectorized flat cell indices for world points, -1 for a point
         outside the grid."""
-        cols = np.floor((np.asarray(xs) - self.origin_x) / self.resolution).astype(np.int64)
-        rows = np.floor((np.asarray(ys) - self.origin_y) / self.resolution).astype(np.int64)
-        inside = (cols >= 0) & (cols < self.n_cols) & (rows >= 0) & (rows < self.n_rows)
-        return np.where(inside, rows * self.n_cols + cols, -1)
+        cols, rows, inside = self._cells(xs, ys)
+        rows *= self.n_cols
+        rows += cols
+        return np.where(inside, rows, -1)
+
+    def _cells(self, xs, ys):
+        """(cols, rows, inside) of world points. Offsets are clamped to
+        [0, n - 1] before the cast, so NaN and inf cast with no warning; the
+        (col, row) of a point outside means nothing."""
+        cells = []
+        for v, origin, n in ((xs, self.origin_x, self.n_cols),
+                             (ys, self.origin_y, self.n_rows)):
+            u = np.subtract(v, origin, out=np.empty(np.shape(v)))
+            u /= self.resolution
+            np.fmax(np.fmin(u, n - 1, out=u), 0, out=u)
+            cells.append(u.astype(np.int64)[()])
+        return (*cells, self.contains(xs, ys))

@@ -16,9 +16,9 @@ from conftest import counts_grid, crossing_of
 from lambdafield import (BayesGrid, GridGeometry, GroundTruthMap, LambdaGrid,
                          PlannerConfig, RobotShape, SensorModel, apply_scan,
                          bayes_scan, collision_pdf, expected_risk,
-                         momentum_risk, path_collision_probability, plan_step,
-                         run_episode, simulate_scan)
-from lambdafield.bayes import naive_probability_from_occupancy
+                         momentum_risk, naive_path_probability,
+                         path_collision_probability, plan_step, run_episode,
+                         simulate_scan)
 from lambdafield.cli import main as cli_main
 
 
@@ -46,8 +46,10 @@ def test_01_naive_probability_depends_on_tessellation(report):
     intensity = -math.log1p(-p_cell) / base_area
     # same physical region carved into 4 cells vs 2 coarser cells; the
     # baseline re-estimates occupancy 0.1 per cell at either size
-    p_naive_4 = naive_probability_from_occupancy([p_cell] * 4)
-    p_naive_2 = naive_probability_from_occupancy([p_cell] * 2)
+    baseline = BayesGrid(GridGeometry(0.0, 0.0, 0.2, 4, 1))
+    baseline.log_odds[:] = math.log(p_cell / (1.0 - p_cell))
+    p_naive_4 = naive_path_probability(baseline, [0, 1, 2, 3])
+    p_naive_2 = naive_path_probability(baseline, [0, 1])
     four = crossing_of([intensity] * 4, [base_area] * 4)
     two = crossing_of([intensity] * 2, [2 * base_area] * 2)
     p_field_4 = path_collision_probability(four)

@@ -6,7 +6,6 @@ import pytest
 
 from lambdafield import (Beam, BayesGrid, GridGeometry, SensorModel, bayes_scan,
                          naive_path_probability, raycast)
-from lambdafield.bayes import naive_probability_from_occupancy
 
 
 def hit_beam(x, y, distance):
@@ -90,9 +89,7 @@ class TestNaivePathProbability:
         assert naive_path_probability(grid, [0, 1]) == pytest.approx(
             0.19, abs=1e-12)
 
-    def test_free_cells_give_zero(self):
-        assert naive_probability_from_occupancy([0.0, 0.0, 0.0]) == 0.0
-
     def test_empty_crossing(self, geometry):
         grid = BayesGrid(geometry)
-        assert naive_path_probability(grid, []) == 0.0
+        p = naive_path_probability(grid, [])
+        assert p == 0.0 and math.copysign(1.0, p) == 1.0

@@ -8,6 +8,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+from lambdafield import BayesGrid, GridGeometry, naive_path_probability
 from lambdafield.cli import YAML_LOADER, main
 
 SCENARIO = """
@@ -441,6 +442,25 @@ class TestCompare:
         rows = (tmp_path / "compare.csv").read_text().strip().splitlines()[1:]
         for row in rows:
             assert abs(float(row.split(",")[1]) - 0.3439) <= 1e-15
+
+    def test_naive_column_is_the_bayes_grid_rule(self, runner, tmp_path):
+        """``p_bayes_naive`` for a region of n cells equals
+        ``naive_path_probability`` over n cells of a ``BayesGrid`` at
+        occupancy p."""
+        region = 8 * 0.2 ** 2
+        n_cells = range(1, 9)
+        resolutions = ",".join(repr(math.sqrt(region / n)) for n in n_cells)
+        for p in (0.1, 0.5, 0.93):
+            result = runner.invoke(main, [
+                "compare", "--base-prob", repr(p), "--base-cells", "8",
+                "--resolutions", resolutions, "-o", str(tmp_path)])
+            assert result.exit_code == 0, result.output
+            grid = BayesGrid(GridGeometry(0.0, 0.0, 0.2, 8, 1))
+            grid.log_odds[:] = math.log(p / (1.0 - p))
+            rows = result.output.strip().splitlines()
+            for n, row in zip(n_cells, rows, strict=True):
+                assert float(row.split()[2]) == pytest.approx(
+                    naive_path_probability(grid, np.arange(n)), rel=1e-12)
 
     def test_row_per_resolution(self, runner, tmp_path):
         result = runner.invoke(main, ["compare", "--resolutions",

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import counts_grid, crossing_of
-from lambdafield import (GridGeometry, LambdaGrid, PathCrossing, RobotShape,
-                         SensorModel, expected_risk, path_collision_probability,
+from lambdafield import (BayesGrid, GridGeometry, LambdaGrid, PathCrossing,
+                         RobotShape, SensorModel, expected_risk,
+                         naive_path_probability, path_collision_probability,
                          swept_cells, trace_beam)
 from lambdafield.field import _from_counts
 
@@ -139,11 +140,12 @@ def test_end_to_end_tessellation_invariance(rng):
 def test_bayes_depends_on_resolution_lambda_does_not():
     """The headline pairing: the naive product probability moves with the
     cell size while the intensity-field probability stays put."""
-    from lambdafield.bayes import naive_probability_from_occupancy
     p_cell = 0.1
     base_area = 0.04
     intensity = -math.log1p(-p_cell) / base_area
     region = 8 * base_area
+    baseline = BayesGrid(GridGeometry(0.0, 0.0, 0.2, 16, 1))
+    baseline.log_odds[:] = math.log(p_cell / (1.0 - p_cell))
     probs_naive = []
     probs_lambda = []
     for k in (1, 2):
@@ -151,6 +153,6 @@ def test_bayes_depends_on_resolution_lambda_does_not():
         n = int(round(region / area))
         crossing = crossing_of([intensity] * n, [area] * n)
         probs_lambda.append(path_collision_probability(crossing))
-        probs_naive.append(naive_probability_from_occupancy([p_cell] * n))
+        probs_naive.append(naive_path_probability(baseline, np.arange(n)))
     assert abs(probs_lambda[0] - probs_lambda[1]) < 1e-9
     assert abs(probs_naive[0] - probs_naive[1]) > 0.05
