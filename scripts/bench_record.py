@@ -14,7 +14,9 @@ all runs, and per metric the median and quartiles over the side's runs
 (judge a metric by its median; the quartiles show the run-to-run spread).
 ``"pair_wins"`` gives per workload and end-to-end metric how many of the
 pairs the change won: its run was better than the parent's run of the same
-pair, in the direction that ``BENCHMARK.json`` declares.
+pair, in the direction that ``BENCHMARK.json`` declares. ``"verdicts"``
+gives per workload and end-to-end metric one of "worse", "unresolved",
+"better" or "within bound" (see ``verdicts``).
 Then each side runs every workload once more with ``--trace 1``, whose final
 line holds the per-layer metrics (self times per op); they go under
 ``"traced"``.
@@ -79,6 +81,34 @@ def pair_wins(runs: list[dict], end_to_end: list[dict]) -> dict:
     return wins
 
 
+def verdicts(runs: list[dict], end_to_end: list[dict]) -> dict:
+    """Per declared end-to-end metric of ``runs`` (one workload's ``"runs"``
+    entry), judged against the metric's bound as a share of the parent's
+    median: "worse" if the change's median is worse than the parent's by
+    more than the bound; else "unresolved" if the parent's quartiles lie
+    farther apart than the bound and not every run of the change beats
+    every run of the parent; else "better" if the change's median is
+    better; else "within bound"."""
+    out = {}
+    for metric in end_to_end:
+        name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
+        parent, change = (np.array([run["line"]["metrics"][name]["value"]
+                                    for run in runs if run["side"] == side])
+                          for side in ("parent", "change"))
+        q1, median, q3 = np.percentile(parent, [25, 50, 75])
+        allowed = metric["bound"] * abs(median)
+        worse_by = sign * (np.median(change) - median)
+        if worse_by > allowed:
+            out[name] = "worse"
+        elif q3 - q1 > allowed and (sign * change).max() >= (sign * parent).min():
+            out[name] = "unresolved"
+        elif worse_by < 0:
+            out[name] = "better"
+        else:
+            out[name] = "within bound"
+    return out
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True,
@@ -93,7 +123,8 @@ def main() -> None:
         "numpy": np.__version__,
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
         "pairs": PAIRS, "runs": {}, "parent": {}, "change": {},
-        "pair_wins": {}, "traced": {"parent": {}, "change": {}},
+        "pair_wins": {}, "verdicts": {},
+        "traced": {"parent": {}, "change": {}},
     }
     workloads = [w["name"] for w in declared["workloads"]]
     for workload in workloads:
@@ -109,6 +140,7 @@ def main() -> None:
             record[side][workload] = summary(
                 [run["line"] for run in runs if run["side"] == side])
         record["pair_wins"][workload] = pair_wins(runs, declared["end_to_end"])
+        record["verdicts"][workload] = verdicts(runs, declared["end_to_end"])
     for workload in workloads:
         for side, checkout in checkouts.items():
             print(f"{side} {workload} traced", file=sys.stderr, flush=True)

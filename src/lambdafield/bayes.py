@@ -16,7 +16,6 @@ from .raycast import trace_beam
 from .sensor import Beam, beam_arrays
 
 DEFAULT_LOG_ODDS_CLAMP = 10.0
-FOLD_TABLE_CELLS = 1 << 16  # run fold cumsum entries at once, 512 kB
 
 
 class BayesGrid:
@@ -53,9 +52,10 @@ def bayes_scan(grid: BayesGrid, beams: list[Beam], sensor: SensorModel) -> None:
 
     The clamp makes a cell's result depend on the order of its steps, so the
     steps are sorted by (cell, beam), and each cell's steps split into runs
-    of one sign that are folded in with array code, a cell's first run in one
-    pass, its second in the next, and so on (a cell that only gets misses
-    has one run). No loop runs per beam or per cell."""
+    of one sign, a cell's first run folded in one pass, its second in the
+    next, and so on (a cell that only gets misses has one run). Each pass
+    folds its runs by ``_fold_runs``' loop of clipped adds, which runs per
+    step of the longest run short of its clamp, not per beam or per cell."""
     geo = grid.geometry
     origins, ends, hit = beam_arrays(beams)
     cells = np.ascontiguousarray(trace_beam(geo, origins, ends)["cell"])
@@ -92,35 +92,22 @@ def bayes_scan(grid: BayesGrid, beams: list[Beam], sensor: SensorModel) -> None:
 
 def _fold_runs(grid: BayesGrid, v: np.ndarray, occ: np.ndarray,
                k: np.ndarray) -> np.ndarray:
-    """Each start value v[i] after k[i] clipped steps of l_occ (where
-    occ[i]) or l_free. For k steps of d from v, that is
-    clip(cumsum([clip(v + d), d, ..., d]))[k - 1]: cumsum adds in order, and
-    after the first step the clamp can bind only on the side d moves
-    toward, so clipping once at the end gives the same bits. The cumsum runs
-    once per distinct value after the first step, in tables of at most
-    ``FOLD_TABLE_CELLS`` entries (or one row), the widest rows first."""
+    """Each start value v[i] after k[i] clipped steps of l_occ (where occ[i])
+    or l_free, by the per-beam rule's clipped add: one for all runs, then one
+    pass per step over the runs with steps left. A run drops out when its
+    steps are used up or it sits at the clamp its sign moves toward, which
+    further steps keep. The passes thus number the steps of the longest run
+    short of that clamp: about 2 * clamp / |step| at most, but the whole run
+    where tiny steps (p near 0.5) never reach the clamp."""
     lo, hi = -grid.log_odds_clamp, grid.log_odds_clamp
-    out = np.clip(v + np.where(occ, grid.l_occ, grid.l_free), lo, hi)
-    longer = np.flatnonzero(k > 1)
-    for d, sign in ((grid.l_free, False), (grid.l_occ, True)):
-        long = longer[occ[longer] == sign]
-        start, inv = np.unique(out[long].view(np.uint64), return_inverse=True)
-        width = np.zeros(len(start), np.int64)
-        np.maximum.at(width, inv, k[long])
-        order = np.argsort(-width, kind="stable")
-        start, width = start[order].view(np.float64), width[order]
-        row = np.argsort(order)[inv]
-        folded = np.empty(len(long))
-        first = 0
-        while first < len(start):
-            last = first + max(1, FOLD_TABLE_CELLS // width[first])
-            table = np.full((len(start[first:last]), width[first]), d)
-            table[:, 0] = start[first:last]
-            np.cumsum(table, axis=1, out=table)
-            mine = (first <= row) & (row < last)
-            folded[mine] = table[row[mine] - first, k[long[mine]] - 1]
-            first = last
-        out[long] = np.clip(folded, lo, hi)
+    d, stop = np.where(occ, grid.l_occ, grid.l_free), np.where(occ, hi, lo)
+    out = np.clip(v + d, lo, hi)
+    done = 1
+    live = np.flatnonzero((k > done) & (out != stop))
+    while len(live):
+        out[live] = np.clip(out[live] + d[live], lo, hi)
+        done += 1
+        live = live[(k[live] > done) & (out[live] != stop[live])]
     return out
 
 

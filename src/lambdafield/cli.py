@@ -166,15 +166,17 @@ def _load(read, path, *args):
 
 class ErrorBoundary(click.Group):
     """Command group that turns what a command raises into an exit code and
-    one line: ``ValueError`` (bad configuration) and click's error for a
-    command line it cannot parse exit 2, ``OSError`` (a failed read or write)
-    exits 3."""
+    one line: ``ValueError`` (bad configuration), ``MemoryError`` (an input
+    too large to allocate) and click's error for a command line it cannot
+    parse exit 2, ``OSError`` (a failed read or write) exits 3."""
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
         except (ValueError, click.ClickException) as exc:
             _fail(EXIT_CONFIG, exc)
+        except MemoryError as exc:
+            _fail(EXIT_CONFIG, f"input too large to allocate: {exc}")
         except OSError as exc:
             _fail(EXIT_IO, exc)
 

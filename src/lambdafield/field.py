@@ -89,10 +89,10 @@ def collision_probability(integrated: float) -> float:
 
 
 def _add_counts(counts: np.ndarray, indices: np.ndarray) -> None:
-    """One count per occurrence of each flat index, saturating at COUNT_MAX."""
-    occurrences = np.bincount(np.asarray(indices, dtype=np.int64))
-    cells = np.flatnonzero(occurrences)
-    counts[cells] = np.minimum(counts[cells] + occurrences[cells], COUNT_MAX)
+    """One count per occurrence of each flat index, saturating at COUNT_MAX;
+    the cost follows the indices, not the grid."""
+    cells, k = np.unique(indices, return_counts=True)
+    counts[cells] = np.minimum(counts[cells] + k, COUNT_MAX)
 
 
 class LambdaGrid:

@@ -152,9 +152,6 @@ def _sweep(geometry: GridGeometry, pts: list[np.ndarray],
     key's sample areas in traversal order.
     """
     spacing = geometry.resolution / SAMPLES_PER_CELL
-    n_w = max(3, int(math.ceil(width / spacing)))
-    offsets = ((np.arange(n_w) + 0.5) / n_w - 0.5) * width
-
     n_paths = len(pts)
     pose_path = np.repeat(np.arange(n_paths), [len(p) for p in pts])
     pts = np.concatenate(pts)
@@ -163,6 +160,13 @@ def _sweep(geometry: GridGeometry, pts: list[np.ndarray],
     # a step joins two poses of one path, and moves
     moves = (ds != 0.0) & (pose_path[1:] == pose_path[:-1])
     step_path = pose_path[1:][moves]
+    # A moving step's outermost samples lie at least (width - spacing)/2 to
+    # each side of it: past the grid's diagonal, one of them is off the grid.
+    if (width - spacing) / 2 > math.hypot(geometry.width, geometry.height):
+        return [None if m else (np.empty(0, np.int64), np.empty(0))
+                for m in np.isin(np.arange(n_paths), step_path)]
+    n_w = max(3, int(math.ceil(width / spacing)))
+    offsets = ((np.arange(n_w) + 0.5) / n_w - 0.5) * width
     starts, step_vec, ds = pts[:-1][moves], step_vec[moves], ds[moves]
     # A sample lies within spacing/2 + width/2 of each end of a moving step,
     # so a path with an end farther out of the grid box is rejected before
@@ -271,7 +275,9 @@ def partial_risks(crossing: PathCrossing, risk_fn: Callable,
                   use_bound: str = "mle") -> np.ndarray:
     """Per-cell terms r(A(i)) * survive_i * hit_i of ``expected_risk`` over
     ``risk_terms``, with r evaluated at each cell's cumulative-area left
-    endpoint: ``risk_fn`` maps the array of them to risks (or one scalar)."""
+    endpoint: ``risk_fn`` maps the array of them to risks (or one scalar).
+    For a nondecreasing r each term is at most the exact one, short by at
+    most survive_i * hit_i * (r(A(i+1)) - r(A(i))); it is exact for constant r."""
     _, cum, survive, hit = risk_terms(crossing, use_bound)
     return risk_fn(cum[:-1]) * survive * hit
 
@@ -279,7 +285,10 @@ def partial_risks(crossing: PathCrossing, risk_fn: Callable,
 def expected_risk(crossing: PathCrossing, risk_fn: Callable,
                   use_bound: str = "mle") -> float:
     """Expectation of risk_fn (areas -> risks, see ``partial_risks``) at the
-    first-collision location: the sum of ``partial_risks``."""
+    first-collision location: the sum of ``partial_risks``. It is exact for a
+    constant r; for a nondecreasing r it is at most the exact expectation,
+    short by at most sum_i survive_i * hit_i * (r(A(i+1)) - r(A(i))), which is
+    at most max_i (r(A(i+1)) - r(A(i))) times the collision probability."""
     return float(np.sum(partial_risks(crossing, risk_fn, use_bound)))
 
 

@@ -52,9 +52,8 @@ class TestBayesUpdate:
 
     def test_fold_memory_is_bounded(self, monkeypatch, rng):
         """3600 beams from one point on a 400 x 400 grid of distinct
-        log-odds: the run fold's cumsum tables come in bounded chunks
-        (338 MB peak when built at once), so the scan peaks at about the
-        trace's own size."""
+        log-odds: the run fold holds a few arrays of the scan's steps, so the
+        scan peaks at about the trace's own size."""
         monkeypatch.setattr(raycast, "_last", raycast._last)  # restored afterwards
         geo = GridGeometry(0.0, 0.0, 0.05, 400, 400)
         angles = 2 * math.pi * np.arange(3600) / 3600

@@ -1,5 +1,9 @@
 import csv
 import math
+import os
+import resource
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -349,6 +353,46 @@ class TestBadInputs:
                                                       SystemExit)
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+# (case, files, arguments) of inputs too large to allocate: each exits 2
+OVERSIZED_INPUTS = [
+    ("map: 10^7 x 10^7 cells",
+     {"s.yaml": scenario(grid={"cols": 10**7, "rows": 10**7})}, "map s.yaml"),
+    *((f"{command}: 10^14 beams",
+       {"s.yaml": scenario(scan={"poses": [[1.0, 2.0, 0.0]], "beams": 10**14})},
+       f"{command} s.yaml") for command in ("map", "simulate-scans")),
+    *((f"eval-path {engine}: --width {width}", {"p.csv": path_text([1.0, 1.5])},
+       f"eval-path {{mapped}}/{engine}_grid.dump p.csv --engine {engine}"
+       f" --width {width}")
+      for engine in ("lambda", "bayes") for width in ("1e5", "1e12", "1e308")),
+]
+ADDRESS_SPACE = 4 << 30
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+
+
+@pytest.mark.parametrize("case,files,args", OVERSIZED_INPUTS,
+                         ids=[row[0] for row in OVERSIZED_INPUTS])
+def test_oversized_input_exits_2(case, files, args, mapped, tmp_path):
+    """The command exits 2 with one ``error:`` line, not a traceback. It runs
+    in a child process with 4 GB of address space, so that an allocation
+    too large for the machine fails at once instead of touching memory."""
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lambdafield.cli",
+         *args.format(mapped=mapped).split(), "-o", "out"], cwd=tmp_path,
+        env=env, preexec_fn=_cap_address_space, capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 def test_readme_scenario_maps(runner, tmp_path):

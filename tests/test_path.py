@@ -138,6 +138,10 @@ class TestSweepFootprint:
     @example(0.1, [], 0.4, path.SWEEP_SAMPLES)
     @example(0.1, [[], [(1.0, 1.0, 0.0)], [(3.9, 1.0, 0.0), (4.1, 1.0, 0.0)],
                    [(1.0, 1.0, 0.0), (1.1, 1.0, 0.0)]], 0.4, path.SWEEP_SAMPLES)
+    @example(0.1, [[(1.0, 1.0, 0.0), (1.5, 1.0, 0.0)], [(1.0, 1.0, 0.0)] * 2,
+                   []], 10.0, path.SWEEP_SAMPLES)  # wider than the diagonal:
+    @example(0.1, [[(1.0, 1.0, 0.0), (1.5, 1.0, 0.0)], [(1.0, 1.0, 0.0)] * 2,
+                   []], 10.5, path.SWEEP_SAMPLES)  # 10.0 sampled, 10.5 not
     def test_batch_matches_per_step_oracle(self, resolution, paths, width,
                                            batch):
         """Each path of one call gives the oracle's cells, order and area
@@ -199,6 +203,24 @@ class TestSweepFootprint:
             finally:
                 tracemalloc.stop()
         assert peak < 1e6, peak
+
+    def test_footprint_wider_than_the_grid_rejected_before_allocating(self):
+        """A footprint 100 m wide on a 4 m grid is rejected without building
+        its 10 000 offsets or its million samples; a path that does not move
+        still sweeps no cell."""
+        geometry = GridGeometry(0.0, 0.0, 0.05, 80, 80)
+        still = [(2.0, 2.0, 0.0)] * 2
+        with no_kept_sweeps():
+            tracemalloc.start()
+            try:
+                sweeps = sweep_footprints(
+                    geometry, [straight_poses(1.0, 2.0, 2.0), still], 100.0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            narrow = sweep_footprint(geometry, still, 0.4)
+        assert peak < 1e6, peak
+        assert sweeps[0] is None and _outcome(sweeps[1]) == _outcome(narrow)
 
     def test_sweeps_only_paths_the_last_sweep_lacks(self, monkeypatch):
         """A path that the last call to sweep one also swept, on the same
@@ -340,6 +362,31 @@ class TestExpectedRisk:
         terms = np.array([risk(float(a)) for a in cum[:-1]]) * survive * hit
         assert cum[-2] / shape.width > 1.0  # the ramp saturates on the way
         assert expected_risk(crossing, risk) == float(np.sum(terms))
+
+    def test_left_edge_rule_within_its_bound_of_monte_carlo(self, rng):
+        """10^6 first-collision locations drawn by inverse transform, on
+        cells of up to 80 /m^2 under a speed ramp 0.3 + 0.2 s: their mean
+        risk exceeds ``expected_risk`` by 0 to the docstring's bound, within
+        a 4 sigma Monte Carlo margin."""
+        shape = RobotShape(width=0.4, length=0.5, mass=20.0)
+        risk = momentum_risk(shape, lambda s: 0.3 + 0.2 * s)
+        crossing = crossing_of(rng.uniform(0.0, 80.0, 40),
+                               rng.uniform(0.001, 0.01, 40))
+        _, cum, survive, hit = path.risk_terms(crossing)
+        exposure = np.concatenate(([0.0], np.cumsum(crossing.areas
+                                                     * crossing.lam_mle)))
+        drawn = -np.log1p(-rng.random(1_000_000))  # exposure at the collision
+        collided = drawn < exposure[-1]
+        cell = np.searchsorted(exposure, drawn[collided], side="right") - 1
+        at = cum[cell] + (drawn[collided] - exposure[cell]) / crossing.lam_mle[cell]
+        samples = np.zeros(len(drawn))
+        samples[collided] = risk(at)
+        mc, se = samples.mean(), samples.std() / math.sqrt(len(samples))
+        gap = mc - expected_risk(crossing, risk)
+        step = np.diff(risk(cum))
+        bound = float(np.sum(survive * hit * step))
+        assert bound <= step.max() * path_collision_probability(crossing)
+        assert -4 * se <= gap <= bound + 4 * se, (gap, bound, se)
 
     def test_bound_choice_is_monotone_for_constant_risk(self, observed_free_grid):
         observed_free_grid.hits[400:440] = 2

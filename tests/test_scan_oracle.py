@@ -127,29 +127,41 @@ def assert_fold_equals_oracle(geometry, scans, clamp, p_occ, p_free, start):
         for beam in beams:
             oracle.bayes_update(expected, beam)
         assert grid.log_odds.tobytes() == expected.log_odds.tobytes()
+    return grid
 
 
 @pytest.mark.parametrize("p_occ, p_free", [(0.7, 0.7), (0.97, 0.55), (0.52, 0.9)])
 @pytest.mark.parametrize("clamp", [0.5, 1.0, 3.3, 10.0])
 def test_log_odds_fold_equals_oracle_through_sign_changes(clamp, p_occ, p_free, rng):
     """Cells whose steps change sign many times within one scan, from start
-    values inside and beyond the clamp, with asymmetric steps."""
+    values inside and beyond the clamp and from start values that many cells
+    share, with asymmetric steps."""
     geometry = GEOMETRIES[1]
     scans = [flicker_scan(geometry, rng) for _ in range(3)]
     assert min(sign_runs(geometry, beams) for beams in scans) >= 6
-    for spread in (0.0, 3.0):  # 3.0: start values up to three clamps away
-        start = rng.uniform(-spread, spread, geometry.n_cells) * clamp
+    # 3.0: start values up to three clamps away
+    starts = [rng.uniform(-spread, spread, geometry.n_cells) * clamp
+              for spread in (0.0, 3.0)]
+    starts.append(np.round(rng.uniform(-2.0, 2.0, geometry.n_cells), 1))
+    for start in starts:
         assert_fold_equals_oracle(geometry, scans, clamp, p_occ, p_free, start)
 
 
-@pytest.mark.parametrize("table_cells", [1, 7, 1 << 16])
-def test_log_odds_fold_in_small_tables(monkeypatch, table_cells, rng):
-    """The cumsum tables split into chunks of rows give the same bits."""
-    monkeypatch.setattr(lambdafield.bayes, "FOLD_TABLE_CELLS", table_cells)
+def test_log_odds_fold_of_a_run_that_never_reaches_the_clamp(rng):
+    """400 beams from one cell centre at p_occ = p_free = 0.5005: the origin
+    cell gets one run of 400 steps of about 0.002, which stays inside the
+    clamp, so the fold takes a pass per step."""
     geometry = GEOMETRIES[0]
-    scans = [random_scan(geometry, rng), flicker_scan(geometry, rng)]
-    start = np.round(rng.uniform(-2.0, 2.0, geometry.n_cells), 1)  # shared starts
-    assert_fold_equals_oracle(geometry, scans, 1.5, 0.8, 0.6, start)
+    origin = geometry.cell_center(7, 9)
+    angles = 2 * math.pi * np.arange(400) / 400
+    beams = [Beam(origin, (math.cos(a), math.sin(a)), float(r), bool(h))
+             for a, r, h in zip(angles, rng.uniform(0.2, 2.0, 400),
+                                rng.random(400) < 0.5)]
+    start = rng.uniform(-2.0, 2.0, geometry.n_cells)
+    grid = assert_fold_equals_oracle(geometry, [beams], 10.0, 0.5005, 0.5005,
+                                     start)
+    cell = geometry.flat(7, 9)
+    assert grid.log_odds[cell] == pytest.approx(start[cell] + 400 * grid.l_free)
 
 
 def test_log_odds_fold_with_int64_keys(rng):
