@@ -71,14 +71,15 @@ def _bounds(h: np.ndarray, m: np.ndarray, sensor: SensorModel,
 def _from_counts(k: np.ndarray, total: np.ndarray, error_area: float,
                  lambda_max: float) -> np.ndarray:
     """Intensity (1/e) * ln(1 + k/(total - k)) of a (possibly fractional)
-    hit count k out of ``total``: strictly increasing in k on [0, total).
-    k = 0 gives 0 (also for total = 0); k = total > 0 saturates at lambda_max.
+    hit count 0 <= k <= total: strictly increasing in k on [0, total).
+    The odds k/(total - k) are divided only where 0 < k < total; elsewhere
+    they are 0 for k = 0 (also for total = 0), so the intensity is 0, and
+    inf for k = total > 0, which saturates at lambda_max.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam = np.log1p(k / (total - k)) / error_area
-    lam = np.where(k <= 0, 0.0, lam)
-    lam = np.where((total > 0) & (k >= total), lambda_max, lam)
-    return np.minimum(lam, lambda_max)
+    hit = 0 < k
+    odds = np.divide(k, total - k, out=np.where(hit, np.inf, 0.0),
+                     where=hit & (k < total))
+    return np.minimum(np.log1p(odds) / error_area, lambda_max)
 
 
 def collision_probability(integrated: float) -> float:

@@ -146,10 +146,12 @@ def _sweep(geometry: GridGeometry, pts: list[np.ndarray],
     The steps of all paths are built in one array pass, and a path with a
     step end far off the grid is dropped before any sample is built.
     Consecutive paths are then sampled together, up to ``SWEEP_SAMPLES``
-    samples at a time (a larger path alone): one flat-index pass, one
-    ``np.unique`` over the first (path, cell) key of each run of equal ones,
-    ordered by first occurrence, and one ``np.bincount``, which adds each
-    key's sample areas in traversal order.
+    samples at a time (a larger path alone) and as many paths as keep their
+    (path, cell) keys in an int64: one flat-index pass, one plain sort that
+    groups the first key of each run of equal ones (``_first_occurrences``),
+    and one ``np.bincount`` over each key's first position, which adds the
+    key's sample areas in traversal order; the keys then read in order of
+    first occurrence.
     """
     spacing = geometry.resolution / SAMPLES_PER_CELL
     n_paths = len(pts)
@@ -190,9 +192,11 @@ def _sweep(geometry: GridGeometry, pts: list[np.ndarray],
     first_step = np.searchsorted(step_path, np.arange(n_paths + 1))
     out: list[tuple[np.ndarray, np.ndarray] | None] = [None] * n_paths
     lo = 0
+    chunk_paths = max(1, np.iinfo(np.int64).max // geometry.n_cells)
     while lo < n_paths:
         hi, total = lo + 1, path_samples[lo]
-        while hi < n_paths and total + path_samples[hi] <= SWEEP_SAMPLES:
+        while (hi < n_paths and hi - lo < chunk_paths
+               and total + path_samples[hi] <= SWEEP_SAMPLES):
             total += path_samples[hi]
             hi += 1
         s = slice(first_step[lo], first_step[hi])
@@ -214,13 +218,12 @@ def _sweep(geometry: GridGeometry, pts: list[np.ndarray],
             exits[owner[outside]] = True
             inside = np.repeat(~exits[owner], n_w)
             keys, weights = keys[inside], weights[inside]
-        head = np.flatnonzero(np.diff(keys, prepend=-1))  # heads of equal runs
-        keys, first, inverse = np.unique(keys[head], return_index=True,
-                                         return_inverse=True)
-        order = np.argsort(head[first])
-        inverse = np.repeat(inverse, np.diff(head, append=len(weights)))
-        areas = np.bincount(inverse, weights)[order].astype(np.float64, copy=False)
-        keys = keys[order]
+        head = _run_heads(keys)
+        first, label = _first_occurrences(keys[head])
+        label = np.repeat(label, np.diff(head, append=len(weights)))
+        areas = np.bincount(label, weights, minlength=len(head))[first].astype(
+            np.float64, copy=False)
+        keys = keys[head[first]]
         local = keys // geometry.n_cells
         cells = keys - local * geometry.n_cells
         bounds = np.searchsorted(local, np.arange(hi - lo + 1))
@@ -230,6 +233,39 @@ def _sweep(geometry: GridGeometry, pts: list[np.ndarray],
                 out[i] = cells[span], areas[span]
         lo = hi
     return out
+
+
+def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(True where a key occurs for the first time, the position of each
+    key's first occurrence) of an int64 array of keys >= 0.
+
+    One plain sort of key * 2**b + position, with 2**b > len(keys), groups
+    equal keys with their positions in increasing order, so each group
+    starts at its key's first occurrence. Where that could overflow an
+    int64, the keys are first replaced by their ranks, which are below
+    len(keys).
+    """
+    n = len(keys)
+    shift = n.bit_length()
+    if n and int(keys.max()) >> (63 - shift):
+        keys = np.unique(keys, return_inverse=True)[1]
+    order = np.sort(keys << shift | np.arange(n))
+    position = order & ((1 << shift) - 1)
+    starts = _run_heads(order >> shift)
+    at = position[starts]           # each key's first position
+    label = np.empty(n, dtype=np.int64)
+    label[position] = np.repeat(at, np.diff(starts, append=n))
+    first = np.zeros(n, dtype=bool)
+    first[at] = True
+    return first, label
+
+
+def _run_heads(a: np.ndarray) -> np.ndarray:
+    """Positions in ``a`` where a run of equal values starts."""
+    head = np.empty(len(a), dtype=bool)
+    head[:1] = True
+    np.not_equal(a[1:], a[:-1], out=head[1:])
+    return np.flatnonzero(head)
 
 
 def risk_terms(crossing: PathCrossing, use_bound: str = "mle"

@@ -6,10 +6,13 @@ with the 95% upper confidence bound of the intensities of the cells it
 crosses; arcs whose expected momentum loss exceeds the configured maximum are
 discarded, and the surviving arc closest to a user-supplied global reference
 path wins. When nothing survives the robot stops: that is its only admissible
-decision. A cycle sweeps the footprints of all its arcs in one pass
-(``path.sweep_footprints``), and each arc's ``swept_cells`` reuses its
-footprint and reads the estimates at its crossed cells alone, so a cycle
-costs the cells its arcs cross, not the grid size.
+decision. A cycle integrates the arcs of each speed in one array pass,
+sweeps the footprints of all its arcs in one pass
+(``path.sweep_footprints``), scores each arc's risk through its own
+``swept_cells``, which reuses its footprint and reads the estimates at its
+crossed cells alone, and measures the closeness of the admitted arcs of
+each length in one array pass. So a cycle costs the cells its arcs cross,
+not the grid size.
 """
 
 from __future__ import annotations
@@ -95,20 +98,39 @@ def sample_arcs(pose: tuple[float, float, float],
     """Uniform (v, omega) grid of arc candidates, in a fixed deterministic order.
 
     Speeds exclude zero: "do not move" is the planner's fallback, not a
-    sampled candidate.
+    sampled candidate. The arcs of one speed share their sample times, so
+    all their omegas are integrated in one array pass, with the expressions
+    of ``integrate_arc``; each arc's poses equal that function's, bit for
+    bit, and are a row of the speed's (omegas, times, 3) array.
     """
+    x0, y0, th0 = pose
     vs = config.v_max * (np.arange(1, config.v_samples + 1) / config.v_samples)
     if config.omega_samples == 1:
         omegas = np.array([0.0])
     else:
         omegas = np.linspace(-config.omega_max, config.omega_max,
                              config.omega_samples)
+    turning = np.abs(omegas) >= 1e-12
     out = []
-    for v in vs:
-        for omega in omegas:
-            poses = integrate_arc(pose, float(v), float(omega),
-                                  config.horizon, config.step)
-            out.append(TrajectoryCandidate(float(v), float(omega), poses))
+    for v in vs.tolist():
+        length = v * config.horizon
+        if length == 0.0:
+            arcs = [integrate_arc(pose, v, omega, config.horizon, config.step)
+                    for omega in omegas.tolist()]
+        else:
+            n = max(1, int(math.ceil(length / config.step)))
+            times = np.linspace(0.0, config.horizon, n + 1)
+            arcs = np.empty((len(omegas), n + 1, 3))
+            arcs[~turning] = np.column_stack([x0 + v * times * math.cos(th0),
+                                              y0 + v * times * math.sin(th0),
+                                              np.full_like(times, th0)])
+            radius = (v / omegas[turning])[:, None]
+            ths = th0 + omegas[turning, None] * times
+            arcs[turning, :, 0] = x0 + radius * (np.sin(ths) - math.sin(th0))
+            arcs[turning, :, 1] = y0 - radius * (np.cos(ths) - math.cos(th0))
+            arcs[turning, :, 2] = ths
+        out.extend(TrajectoryCandidate(v, omega, poses)
+                   for omega, poses in zip(omegas.tolist(), arcs))
     return out
 
 
@@ -132,10 +154,19 @@ def admissible_candidates(grid: LambdaGrid, pose: tuple[float, float, float],
                           config: PlannerConfig) -> list[TrajectoryCandidate]:
     """All sampled arcs that pass the risk gate, scored by closeness: the mean
     distance from each arc pose to the nearest reference *pose*, not segment,
-    so a reference with sparse waypoints must be densified first."""
+    so a reference with sparse waypoints must be densified first.
+
+    The arcs' footprints are swept in one pass, and each arc is then read and
+    scored with the upper-bound risk on its own. The closeness of all
+    admitted arcs with the same number of poses is computed in one array
+    pass, with the bits of the per-arc mean of ``np.linalg.norm`` minima.
+    Raises ValueError if the pose lies outside the grid or the reference is
+    not a non-empty (N, >= 2) array of finite numbers, before any arc is
+    swept.
+    """
     if not grid.geometry.contains(pose[0], pose[1]):
         raise ValueError("pose outside grid")
-    reference = np.asarray(reference_path, dtype=np.float64)[:, :2]
+    reference = _reference_xy(reference_path)
     candidates = sample_arcs(pose, config)
     # one pass over every arc's footprint, which swept_cells then reuses
     sweep_footprints(grid.geometry, [cand.poses for cand in candidates],
@@ -148,12 +179,29 @@ def admissible_candidates(grid: LambdaGrid, pose: tuple[float, float, float],
             continue  # arc leaves the mapped area: never admissible
         risk_fn = momentum_risk(shape, constant_velocity(cand.v))
         cand.risk_upper = expected_risk(crossing, risk_fn, use_bound="upper")
-        if cand.risk_upper > config.max_risk:
-            continue
-        diffs = cand.poses[:, None, :2] - reference[None, :, :]
-        cand.closeness = float(np.mean(np.min(np.linalg.norm(diffs, axis=2), axis=1)))
-        admissible.append(cand)
+        if cand.risk_upper <= config.max_risk:
+            admissible.append(cand)
+    for n in {len(cand.poses) for cand in admissible}:
+        group = [cand for cand in admissible if len(cand.poses) == n]
+        poses = np.stack([cand.poses for cand in group])
+        # the bits of norm(pose - ref): sqrt of x**2 + y**2, and sqrt is
+        # monotone, so the min may come first
+        dx, dy = (poses[:, :, None, k] - reference[:, k] for k in (0, 1))
+        closeness = np.mean(np.sqrt(np.min(dx * dx + dy * dy, axis=2)), axis=1)
+        for cand, value in zip(group, closeness.tolist()):
+            cand.closeness = value
     return admissible
+
+
+def _reference_xy(reference_path) -> np.ndarray:
+    """The (N, 2) x/y of a reference path; raises ValueError unless it is a
+    non-empty (N, >= 2) array of finite numbers."""
+    reference = np.asarray(reference_path, dtype=np.float64)
+    if (reference.ndim != 2 or len(reference) == 0 or reference.shape[1] < 2
+            or not np.isfinite(reference).all()):
+        raise ValueError("reference path must be a non-empty (N, >= 2) array "
+                         "of finite numbers")
+    return reference[:, :2]
 
 
 def _select(admissible: list[TrajectoryCandidate]) -> TrajectoryCandidate | None:
@@ -182,13 +230,11 @@ def run_episode(grid: LambdaGrid, start_pose: tuple[float, float, float],
     Executes each chosen arc to its endpoint until the goal (last reference
     pose) is within goal_tolerance, the planner stops, or max_steps elapse.
     Returns the per-step log and the executed pose trace. Raises
-    ValueError if the reference is empty or the start or the goal lies
-    outside the grid.
+    ValueError if the reference is not a non-empty (N, >= 2) array of finite
+    numbers or the start or the goal lies outside the grid.
     """
-    reference = np.asarray(reference_path, dtype=np.float64)
-    if len(reference) == 0:
-        raise ValueError("reference path is empty")
-    goal = reference[-1, :2]
+    reference = _reference_xy(reference_path)
+    goal = reference[-1]
     for name, (x, y) in (("start", start_pose[:2]), ("goal", goal)):
         if not grid.geometry.contains(x, y):
             raise ValueError(f"{name} ({x}, {y}) lies outside the grid")

@@ -124,11 +124,17 @@ def simulate_scan(truth: GroundTruthMap, pose: tuple[float, float, float],
     traced = trace_beam(truth.geometry, (x, y), np.stack(
         [x + cos * sensor.max_range, y + sin * sensor.max_range], axis=1))
     n, m = traced.shape
-    cells, chords = traced["cell"], traced["chord"]
-    real = cells >= 0
-    stops = np.zeros((n, m), bool)
-    stops[real] = rng.random(real.sum()) < -np.expm1(
-        -chords[real] * truth.geometry.resolution * truth.intensities[cells[real]])
+    cells, chords = traced["cell"].copy(), traced["chord"].copy()
+    real = np.flatnonzero(cells >= 0)
+    draws = rng.random(len(real))
+    lam = truth.intensities[cells.ravel()[real]]
+    # a draw is never below 0, so a cell with no matter never stops the beam
+    matter = np.flatnonzero(lam > 0)
+    at = real[matter]
+    stops = np.zeros(n * m, bool)
+    stops[at] = draws[matter] < -np.expm1(
+        -chords.ravel()[at] * truth.geometry.resolution * lam[matter])
+    stops = stops.reshape(n, m)
     # the first stop's column, or m if none (the clipped ray's length, no chord)
     first = np.argmax(np.pad(stops, ((0, 0), (0, 1)), constant_values=True), axis=1)
     padded = np.pad(chords, ((0, 0), (1, 1)))

@@ -7,8 +7,8 @@ Each beam oracle folds one beam at a time, walking it with
 ``incremental_walk``, the scalar Amanatides & Woo loop, and rasterising its
 disk with the scalar ``error_region_cells``, so none of them shares the
 package's array traversal or disk code. The sweep oracle samples one step
-at a time, and the planner oracle sweeps and reads one arc at a time with
-it.
+at a time, and the planner oracle integrates each arc with
+``planner.integrate_arc`` and sweeps, reads and scores one arc at a time.
 """
 
 import math
@@ -19,7 +19,7 @@ from lambdafield import GridGeometry
 from lambdafield.field import COUNT_MAX
 from lambdafield.path import (SAMPLES_PER_CELL, PathCrossing,
                               constant_velocity, expected_risk, momentum_risk)
-from lambdafield.planner import sample_arcs
+from lambdafield.planner import TrajectoryCandidate, integrate_arc
 from lambdafield.raycast import CELL_CHORD
 from lambdafield.sensor import Beam
 
@@ -198,11 +198,25 @@ def simulate_scan(truth, pose, sensor, beam_count: int, seed: int) -> list:
     return beams
 
 
+def sample_arcs(pose, config) -> list:
+    """The planner's (v, omega) grid of arcs, each integrated on its own with
+    ``integrate_arc``."""
+    vs = config.v_max * (np.arange(1, config.v_samples + 1) / config.v_samples)
+    if config.omega_samples == 1:
+        omegas = np.array([0.0])
+    else:
+        omegas = np.linspace(-config.omega_max, config.omega_max,
+                             config.omega_samples)
+    return [TrajectoryCandidate(float(v), float(omega), integrate_arc(
+                pose, float(v), float(omega), config.horizon, config.step))
+            for v in vs for omega in omegas]
+
+
 def admissible_candidates(grid, pose, reference_path, shape, config) -> list:
-    """The planner cycle one arc at a time: each sampled arc is swept with
-    ``sweep_footprint`` on its own, read at its crossed cells, scored with the upper-bound
-    momentum risk and, if it passes the gate, by its mean distance to the
-    nearest reference pose."""
+    """The planner cycle one arc at a time: each arc of ``sample_arcs`` is
+    swept with ``sweep_footprint`` on its own, read at its crossed cells,
+    scored with the upper-bound momentum risk and, if it passes the gate,
+    by its mean distance to the nearest reference pose."""
     if not grid.geometry.contains(pose[0], pose[1]):
         raise ValueError("pose outside grid")
     reference = np.asarray(reference_path, dtype=np.float64)[:, :2]

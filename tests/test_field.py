@@ -6,6 +6,7 @@ import pytest
 from conftest import counts_grid, crossing_of
 from lambdafield import (LambdaGrid, SensorModel, collision_probability,
                          path_collision_probability)
+from lambdafield import field
 from lambdafield.field import COUNT_MAX, DEFAULT_LAMBDA_MAX
 
 
@@ -46,6 +47,26 @@ class TestLambdaFromCount:
     def test_monotone_around_midpoint(self):
         vals = counts_grid([19, 20, 21], [21, 20, 19]).lambda_map()
         assert vals[0] < vals[1] < vals[2]
+
+    @pytest.mark.parametrize("error_area,lambda_max", [
+        (0.04, DEFAULT_LAMBDA_MAX), (1e-3, 1e300), (3.0, 0.5)])
+    def test_kernel_equals_where_formula(self, rng, error_area, lambda_max):
+        """The count kernel gives the bytes of the plain formula with the
+        k = 0 and k = total > 0 cases patched in: on seeded whole and
+        fractional counts, with k = 0, k = total and total = 0."""
+        total = rng.integers(0, 5, 6000) * rng.integers(0, 1000, 6000) * 1.0
+        k = total * rng.random(6000)
+        k[::3] = np.floor(k[::3])
+        k[1::7] = 0.0
+        k[2::7] = total[2::7]
+        assert (total == 0).any() and ((0 < k) & (k == total)).any()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = np.log1p(k / (total - k)) / error_area
+        want = np.where(k <= 0, 0.0, want)
+        want = np.where((total > 0) & (k >= total), lambda_max, want)
+        want = np.minimum(want, lambda_max)
+        got = field._from_counts(k, total, error_area, lambda_max)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestConfidenceBounds:

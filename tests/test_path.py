@@ -155,6 +155,23 @@ class TestSweepFootprint:
                 == [_sweep_outcome(oracle.sweep_footprint, geometry, poses, width)
                     for poses in paths])
 
+    @pytest.mark.parametrize("side", [2 ** 26, 10 ** 9])
+    def test_huge_grid_batch_matches_per_step_oracle(self, side):
+        """25 overlapping paths near the origin of a grid of side**2 cells,
+        swept in one call, give the oracle's bytes. With 2**52 cells one
+        cell's (path, cell) keys differ by multiples of 2**52, so shifted
+        left by 12 or more bits to make room for a run-head position (from
+        2048 heads on), they would wrap to one int64; with 10**18 cells the
+        keys of 25 paths do not fit one."""
+        geometry = GridGeometry(0.0, 0.0, 0.05, side, side)
+        paths = [straight_poses(1.0, 2.0 + 0.01 * k, 1.0 + 0.1 * k)
+                 for k in range(25)]
+        with no_kept_sweeps():
+            sweeps = sweep_footprints(geometry, paths, 0.4)
+        assert ([_outcome(sweep) for sweep in sweeps]
+                == [_sweep_outcome(oracle.sweep_footprint, geometry, poses, 0.4)
+                    for poses in paths])
+
     def test_far_off_grid_path_in_batch_dropped_before_allocating(self):
         """A path whose step ends 1000 m off the grid gives None without
         building its samples; the paths around it are still swept."""

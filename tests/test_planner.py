@@ -6,7 +6,7 @@ import pytest
 from lambdafield import (GridGeometry, LambdaGrid, PlannerConfig, RobotShape,
                          SensorModel, plan_step, run_episode, sample_arcs,
                          swept_cells)
-from lambdafield import field, path
+from lambdafield import field, path, planner
 from lambdafield.planner import MAX_ARC_STEPS, admissible_candidates, integrate_arc
 import oracle
 
@@ -90,6 +90,32 @@ class TestSampleArcs:
         for cand in sample_arcs((2.0, 1.5, 0.7), cfg):
             np.testing.assert_allclose(cand.poses[0], [2.0, 1.5, 0.7])
 
+    def test_equals_integrate_arc_bitwise(self, rng):
+        """Each arc's v, omega and pose bytes equal ``integrate_arc`` of its
+        (v, omega) alone: on 300 seeded poses and configs, with one omega,
+        with omega_max = 0, and with arcs too short to take a step."""
+        configs = [PlannerConfig(omega_samples=1), PlannerConfig(omega_max=0.0),
+                   PlannerConfig(v_max=1e-300, horizon=1e-300)]
+        poses = [(0.0, 0.0, 0.0), (-3.5, 2.0, -2.5), (0.0, 0.0, 0.0)]
+        for _ in range(300):
+            configs.append(PlannerConfig(
+                v_max=float(rng.uniform(0.1, 3.0)),
+                omega_max=float(rng.choice([0.0, 1e-13, rng.uniform(0.0, 4.0)])),
+                v_samples=int(rng.integers(1, 7)),
+                omega_samples=int(rng.integers(1, 8)),
+                horizon=float(rng.uniform(0.2, 2.0)),
+                step=float(rng.uniform(0.01, 0.3))))
+            poses.append(tuple(rng.uniform(-50.0, 50.0, 2))
+                         + (float(rng.uniform(-7.0, 7.0)),))
+        for pose, config in zip(poses, configs):
+            got = sample_arcs(pose, config)
+            want = oracle.sample_arcs(pose, config)
+            assert [(a.v.hex(), a.omega.hex()) for a in got] == [
+                (a.v.hex(), a.omega.hex()) for a in want]
+            for got_arc, want_arc in zip(got, want):
+                assert got_arc.poses.dtype == want_arc.poses.dtype
+                assert got_arc.poses.tobytes() == want_arc.poses.tobytes()
+
 
 class TestPlanStep:
     def test_open_field_moves_toward_reference(self, corridor_grid, shape):
@@ -152,6 +178,27 @@ class TestPlanStep:
         b = plan_step(corridor_grid, (1.0, 2.0, 0.0), ref, shape, cfg)
         assert (a.v, a.omega) == (b.v, b.omega)
         np.testing.assert_array_equal(a.poses, b.poses)
+
+    @pytest.mark.parametrize("reference", [
+        np.zeros((0, 3)), np.zeros(3), np.zeros((4, 1)),
+        [[1.0, 2.0, 0.0], [math.nan, 2.0, 0.0]],
+        [[1.0, 2.0, 0.0], [1.1, math.inf, 0.0]],
+        [[1.0, 2.0, -math.inf]]],
+        ids=["empty", "1-D", "one-column", "nan", "inf", "inf-heading"])
+    def test_bad_reference_rejected_before_any_sweep(self, corridor_grid,
+                                                     shape, reference,
+                                                     monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("swept before checking the reference")
+
+        monkeypatch.setattr(planner, "sweep_footprints", no_sweep)
+        for call in (plan_step, admissible_candidates):
+            with pytest.raises(ValueError, match="reference path must be"):
+                call(corridor_grid, (1.0, 2.0, 0.0), reference, shape,
+                     PlannerConfig())
+        with pytest.raises(ValueError, match="reference path must be"):
+            run_episode(corridor_grid, (1.0, 2.0, 0.0), reference, shape,
+                        PlannerConfig())
 
     def test_pose_outside_grid_rejected(self, corridor_grid, shape):
         with pytest.raises(ValueError):
