@@ -21,7 +21,8 @@ Then each side runs every workload once more with ``--trace 1``, whose final
 line holds the per-layer metrics (self times per op); they go under
 ``"traced"``.
 The record also names the Python and numpy versions and the machine it ran
-on.
+on, and gives under ``"src_lines"`` each side's lines of
+``src/lambdafield/*.py`` as ``wc -l`` counts them.
 """
 
 from __future__ import annotations
@@ -47,6 +48,13 @@ def final_line(checkout: Path, workload: str, *extra: str) -> dict:
          workload, *RUN_ARGS, *extra], capture_output=True, text=True,
         check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def src_lines(checkout: Path) -> int:
+    """Lines of ``src/lambdafield/*.py`` under ``checkout``, as ``wc -l``
+    counts them: the newline bytes."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (checkout / "src" / "lambdafield").glob("*.py"))
 
 
 def summary(lines: list[dict]) -> dict:
@@ -122,6 +130,8 @@ def main() -> None:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
+        "src_lines": {side: src_lines(checkout)
+                      for side, checkout in checkouts.items()},
         "pairs": PAIRS, "runs": {}, "parent": {}, "change": {},
         "pair_wins": {}, "verdicts": {},
         "traced": {"parent": {}, "change": {}},

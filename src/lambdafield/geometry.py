@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,10 +27,18 @@ class GridGeometry:
     n_rows: int
 
     def __post_init__(self):
-        if not self.resolution > 0:
-            raise ValueError(f"resolution must be > 0, got {self.resolution}")
+        try:
+            n_cells = operator.index(self.n_cols) * operator.index(self.n_rows)
+        except TypeError:
+            raise ValueError(f"grid size must be integers, got {self.n_cols!r} "
+                             f"x {self.n_rows!r}") from None
         if self.n_cols < 1 or self.n_rows < 1:
             raise ValueError("grid needs at least one cell per axis")
+        if n_cells > np.iinfo(np.int64).max:
+            raise ValueError(f"grid of {n_cells} cells is too large to index")
+        if not (self.resolution > 0 and max(self.width, self.height) < np.inf):
+            raise ValueError(f"resolution must be > 0 and the grid's width and "
+                             f"height finite, got resolution {self.resolution}")
 
     @property
     def cell_area(self) -> float:
@@ -59,7 +68,9 @@ class GridGeometry:
             raise ValueError(f"point ({x}, {y}) outside grid")
         return cols, rows
 
-    def cell_center(self, col: int, row: int) -> tuple[float, float]:
+    def cell_center(self, col, row):
+        """World (x, y) of the centre of each cell (col, row); elementwise on
+        arrays, with broadcasting."""
         return (self.origin_x + (col + 0.5) * self.resolution,
                 self.origin_y + (row + 0.5) * self.resolution)
 

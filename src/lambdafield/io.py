@@ -31,15 +31,15 @@ def _write_table(path: str | Path, head: list, columns: list,
                  delimiter: str = ",", lineterminator: str = "\r\n") -> None:
     """Writes the ``head`` rows through ``csv.writer``, then row i of the
     equal-length ``columns`` for each i, ``TABLE_BLOCK_ROWS`` rows at a time.
-    A column is an array, a list or a function from row numbers to its
-    values there (each its own ``_State``), or a ``_State``: ``arrays`` like
-    those, of one dtype, whose bits (8 bytes a row at most) key the row, and
-    ``derived`` functions from row numbers to columns the key fixes. So each
-    key's text is built by ``repr`` once per block, at its first row, or with
-    an ``index`` (row i is row ``index(i)`` of the arrays) once per table."""
+    A column is an array or a list (its own ``_State``), or a ``_State``:
+    ``arrays`` like those, of one dtype, whose bits (8 bytes a row at most)
+    key the row, and ``derived`` functions from row numbers to columns the
+    key fixes. So each key's text is built by ``repr`` once per block, at
+    its first row, or with an ``index`` (row i is row ``index(i)`` of the
+    arrays) once per table."""
     def state_text(state, rows, end):  # of each of the rows (all if None)
-        block = np.stack([a if rows is None else a(rows) if callable(a) else
-                          a[rows[0]:rows[-1] + 1] for a in state.arrays], 1)
+        block = np.stack([a if rows is None else a[rows[0]:rows[-1] + 1]
+                          for a in state.arrays], 1)
         keys, inverse = np.unique(block.view(f"u{block[0].nbytes}")[:, 0],
                                   return_inverse=True)
         first = np.full(len(keys), len(block))  # each key's first row
@@ -51,8 +51,7 @@ def _write_table(path: str | Path, head: list, columns: list,
         return np.add.reduce(text)[inverse]
 
     columns = [c if isinstance(c, _State) else _State((c,)) for c in columns]
-    n_rows = len(next(a for c in columns if not c.index for a in c.arrays
-                      if not callable(a)))
+    n_rows = len(next(c.arrays[0] for c in columns if not c.index))
     ends = [delimiter] * (len(columns) - 1) + [lineterminator]
     tables = [c.index and state_text(c, None, end) for c, end in zip(columns, ends)]
     with open(path, "w", newline="") as fh:
@@ -190,22 +189,20 @@ def export_lambda_pgm(grid: LambdaGrid, path: str | Path) -> None:
     """
     lam = grid.lambda_map()
     write_pgm(path, lam.reshape(grid.geometry.n_rows, grid.geometry.n_cols),
-              65535.0 / grid.lambda_max, maxval=65535)
+              65535.0 / grid.lambda_max)
 
 
 def export_bayes_pgm(grid: BayesGrid, path: str | Path) -> None:
     occ = grid.occupancy().reshape(grid.geometry.n_rows, grid.geometry.n_cols)
-    write_pgm(path, occ, 65535.0, maxval=65535)
+    write_pgm(path, occ, 65535.0)
 
 
-def write_pgm(path: str | Path, values: np.ndarray, scale: float,
-              maxval: int) -> None:
-    pixels = np.clip(np.round(values * scale), 0, maxval)
-    dtype = ">u2" if maxval > 255 else "u1"
-    header = f"P5\n# scale {scale!r}\n{values.shape[1]} {values.shape[0]}\n{maxval}\n"
+def write_pgm(path: str | Path, values: np.ndarray, scale: float) -> None:
+    pixels = np.clip(np.round(values * scale), 0, 65535)
+    header = f"P5\n# scale {scale!r}\n{values.shape[1]} {values.shape[0]}\n65535\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(pixels.astype(dtype).tobytes())
+        fh.write(pixels.astype(">u2").tobytes())
 
 
 def read_pgm(path: str | Path) -> tuple[np.ndarray, float]:

@@ -75,7 +75,7 @@ class PathCrossing:
 
 SAMPLES_PER_CELL = 5
 SWEEP_SAMPLES = 1 << 16     # footprint samples swept at once, about 4 MB of temporaries
-# sweep_footprints' last call that swept a path: (geometry, width, and per
+# sweep_footprints' last call that swept: (geometry, width, and per
 # path (cells, areas) or None, keyed by the bytes of its (n, 2) x/y array)
 _last = (None, math.nan, {})
 
@@ -116,24 +116,22 @@ def sweep_footprints(geometry: GridGeometry,
 
     The paths are swept together in one array pass (``_sweep``), and each
     path's result equals a sweep of that path alone, bit for bit. The
-    results of the last call that swept a path are kept: a path whose
-    geometry, width and x/y bits equal one of that call's paths is not
-    swept again, and a call that finds all its paths there keeps them. So
-    the planner sweeps a cycle's arcs in one call and then reads each arc
-    through ``swept_cells`` without sweeping it again. Every result is a
-    fresh array the caller may change.
+    results of the last call that swept are kept: a call on the same
+    geometry and width whose paths all have the x/y bits of one of that
+    call's paths sweeps nothing; any other call sweeps its distinct paths
+    and keeps only those. So the planner sweeps a cycle's arcs in one call
+    and then reads each arc through ``swept_cells`` without sweeping it
+    again. Every result is a fresh array the caller may change.
     """
     global _last
     pts = [np.asarray(poses, dtype=np.float64)[..., :2].reshape(-1, 2)
            for poses in paths]
     keys = [p.tobytes() for p in pts]
     last_geometry, last_width, kept = _last
-    if last_geometry != geometry or last_width != width:
-        kept = {}
-    new = {key: p for key, p in zip(keys, pts) if key not in kept}
-    if new:
-        kept = {key: kept[key] for key in keys if key in kept}
-        kept.update(zip(new, _sweep(geometry, list(new.values()), width)))
+    if keys and (last_geometry != geometry or last_width != width
+                 or not kept.keys() >= set(keys)):
+        distinct = dict(zip(keys, pts))
+        kept = dict(zip(distinct, _sweep(geometry, list(distinct.values()), width)))
         _last = (geometry, width, kept)
     return [None if kept[key] is None else (kept[key][0].copy(), kept[key][1].copy())
             for key in keys]

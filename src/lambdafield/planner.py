@@ -71,37 +71,15 @@ class TrajectoryCandidate:
         return self.poses[-1]
 
 
-def integrate_arc(pose: tuple[float, float, float], v: float, omega: float,
-                  horizon: float, step: float) -> np.ndarray:
-    """Unicycle poses for a constant (v, omega) command, sampled every
-    ``step`` meters of arc length (plus the exact endpoint)."""
-    x0, y0, th0 = pose
-    length = v * horizon
-    if length == 0.0:
-        return np.array([[x0, y0, th0]])
-    n = max(1, int(math.ceil(length / step)))
-    times = np.linspace(0.0, horizon, n + 1)
-    if abs(omega) < 1e-12:
-        xs = x0 + v * times * math.cos(th0)
-        ys = y0 + v * times * math.sin(th0)
-        ths = np.full_like(times, th0)
-    else:
-        radius = v / omega
-        ths = th0 + omega * times
-        xs = x0 + radius * (np.sin(ths) - math.sin(th0))
-        ys = y0 - radius * (np.cos(ths) - math.cos(th0))
-    return np.column_stack([xs, ys, ths])
-
-
 def sample_arcs(pose: tuple[float, float, float],
                 config: PlannerConfig) -> list[TrajectoryCandidate]:
     """Uniform (v, omega) grid of arc candidates, in a fixed deterministic order.
 
     Speeds exclude zero: "do not move" is the planner's fallback, not a
-    sampled candidate. The arcs of one speed share their sample times, so
-    all their omegas are integrated in one array pass, with the expressions
-    of ``integrate_arc``; each arc's poses equal that function's, bit for
-    bit, and are a row of the speed's (omegas, times, 3) array.
+    sampled candidate. An arc holds its unicycle poses every ``step`` meters
+    of arc length and the exact endpoint, or its start pose alone if too
+    short to take a step. The arcs of one speed share their sample times, so
+    they are integrated in one array pass, as rows of one array.
     """
     x0, y0, th0 = pose
     vs = config.v_max * (np.arange(1, config.v_samples + 1) / config.v_samples)
@@ -115,8 +93,7 @@ def sample_arcs(pose: tuple[float, float, float],
     for v in vs.tolist():
         length = v * config.horizon
         if length == 0.0:
-            arcs = [integrate_arc(pose, v, omega, config.horizon, config.step)
-                    for omega in omegas.tolist()]
+            arcs = np.tile(np.asarray(pose, np.float64), (len(omegas), 1, 1))
         else:
             n = max(1, int(math.ceil(length / config.step)))
             times = np.linspace(0.0, config.horizon, n + 1)

@@ -176,7 +176,6 @@ def centre_in_disk(geometry: GridGeometry, cells: np.ndarray, cx, cy,
                    radius: float) -> np.ndarray:
     """True where the centre of the flat cell lies within ``radius`` of
     (cx, cy); elementwise, with broadcasting."""
-    cols, rows = cells % geometry.n_cols, cells // geometry.n_cols
-    centers_x = geometry.origin_x + (cols + 0.5) * geometry.resolution
-    centers_y = geometry.origin_y + (rows + 0.5) * geometry.resolution
+    centers_x, centers_y = geometry.cell_center(cells % geometry.n_cols,
+                                                cells // geometry.n_cols)
     return (centers_x - cx) ** 2 + (centers_y - cy) ** 2 <= radius * radius

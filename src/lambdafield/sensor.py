@@ -59,8 +59,7 @@ class GroundTruthMap:
             raise ValueError(f"block ({x0}, {y0}, {x1}, {y1}) value {value}: "
                              f"need a value >= 0 and no NaN corner")
         geo = self.geometry
-        cx = geo.origin_x + (np.arange(geo.n_cols) + 0.5) * geo.resolution
-        cy = geo.origin_y + (np.arange(geo.n_rows) + 0.5) * geo.resolution
+        cx, cy = geo.cell_center(np.arange(geo.n_cols), np.arange(geo.n_rows))
         cols = np.flatnonzero((cx >= x0) & (cx <= x1))
         rows = np.flatnonzero((cy >= y0) & (cy <= y1))
         self.intensities[(rows[:, None] * geo.n_cols + cols).ravel()] = value

@@ -7,8 +7,9 @@ Each beam oracle folds one beam at a time, walking it with
 ``incremental_walk``, the scalar Amanatides & Woo loop, and rasterising its
 disk with the scalar ``error_region_cells``, so none of them shares the
 package's array traversal or disk code. The sweep oracle samples one step
-at a time, and the planner oracle integrates each arc with
-``planner.integrate_arc`` and sweeps, reads and scores one arc at a time.
+at a time, and the planner oracle integrates each arc on its own with
+``integrate_arc``, the scalar unicycle rule, and sweeps, reads and scores
+one arc at a time.
 """
 
 import math
@@ -19,7 +20,7 @@ from lambdafield import GridGeometry
 from lambdafield.field import COUNT_MAX
 from lambdafield.path import (SAMPLES_PER_CELL, PathCrossing,
                               constant_velocity, expected_risk, momentum_risk)
-from lambdafield.planner import TrajectoryCandidate, integrate_arc
+from lambdafield.planner import TrajectoryCandidate
 from lambdafield.raycast import CELL_CHORD
 from lambdafield.sensor import Beam
 
@@ -196,6 +197,29 @@ def simulate_scan(truth, pose, sensor, beam_count: int, seed: int) -> list:
             measured, hit = min(max(r, 1e-9), sensor.max_range), True
         beams.append(Beam((x, y), direction, float(measured), hit))
     return beams
+
+
+def integrate_arc(pose: tuple[float, float, float], v: float, omega: float,
+                  horizon: float, step: float) -> np.ndarray:
+    """Oracle: the unicycle poses of one constant (v, omega) command, sampled
+    every ``step`` meters of arc length (plus the exact endpoint), that each
+    arc of ``planner.sample_arcs`` must equal bit for bit."""
+    x0, y0, th0 = pose
+    length = v * horizon
+    if length == 0.0:
+        return np.array([[x0, y0, th0]])
+    n = max(1, int(math.ceil(length / step)))
+    times = np.linspace(0.0, horizon, n + 1)
+    if abs(omega) < 1e-12:
+        xs = x0 + v * times * math.cos(th0)
+        ys = y0 + v * times * math.sin(th0)
+        ths = np.full_like(times, th0)
+    else:
+        radius = v / omega
+        ths = th0 + omega * times
+        xs = x0 + radius * (np.sin(ths) - math.sin(th0))
+        ys = y0 - radius * (np.cos(ths) - math.cos(th0))
+    return np.column_stack([xs, ys, ths])
 
 
 def sample_arcs(pose, config) -> list:

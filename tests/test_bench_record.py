@@ -1,5 +1,5 @@
 """The performance record script's pair count and verdicts, on made-up
-runs."""
+runs, and its line count, on a made-up tree."""
 
 import importlib.util
 from pathlib import Path
@@ -56,3 +56,17 @@ def test_verdicts_judge_the_medians_against_the_bound(parent, change, verdict,
     if better == "higher":  # the same cases mirrored: higher is better
         parent, change = [-v for v in parent], [-v for v in change]
     assert bench_record.verdicts(sides(parent, change), declared) == {"m": verdict}
+
+
+def test_src_lines_count_the_package_modules_as_wc_does(tmp_path):
+    """Newline bytes of ``src/lambdafield/*.py`` alone: a last line without
+    one is not counted, and other files and directories are skipped."""
+    package = tmp_path / "src" / "lambdafield"
+    (package / "sub").mkdir(parents=True)
+    (package / "a.py").write_bytes(b"import b\n\nx = 1\n")
+    (package / "b.py").write_bytes(b"y = 2\r\nz = 3")
+    (package / "empty.py").write_bytes(b"")
+    (package / "notes.txt").write_bytes(b"1\n2\n")
+    (package / "sub" / "c.py").write_bytes(b"1\n")
+    (tmp_path / "src" / "other.py").write_bytes(b"1\n")
+    assert bench_record.src_lines(tmp_path) == 4

@@ -207,6 +207,12 @@ BAD_INPUTS = [
      {"s.yaml": scenario(sensor={"error_area": math.inf})}, "map s.yaml", 2),
     ("map: sensor max_range inf",
      {"s.yaml": scenario(sensor={"max_range": math.inf})}, "map s.yaml", 2),
+    ("map: grid resolution inf",
+     {"s.yaml": scenario(grid={"resolution": math.inf, "cols": 20, "rows": 20},
+                         scan={"poses": [[1.0, 1.0, 0.0]], "beams": 8})},
+     "map s.yaml", 2),
+    ("map: grid cols 20.0",
+     {"s.yaml": scenario(grid={"cols": 20.0, "rows": 20})}, "map s.yaml", 2),
     ("map: scenario is not YAML", {"s.yaml": "grid: [cols: 4\n"},
      "map s.yaml", 2),
     ("map: missing scenario file", {}, "map s.yaml", 3),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,48 @@ def test_invalid_parameters_rejected():
         GridGeometry(0.0, 0.0, 0.0, 4, 4)
     with pytest.raises(ValueError):
         GridGeometry(0.0, 0.0, 0.1, 0, 4)
+
+
+@pytest.mark.parametrize("cols,rows", [(4e9, 4e9), (4.0, 4), (4, "4"),
+                                       (None, 4), (2, 2 ** 62), (2 ** 62, 2),
+                                       (2 ** 32, 2 ** 31)])
+def test_sizes_it_cannot_index_rejected(cols, rows):
+    """A size that is not an integer, or n_cols * n_rows cells above the
+    largest int64, raises ValueError."""
+    with pytest.raises(ValueError):
+        GridGeometry(0.0, 0.0, 0.05, cols, rows)
+
+
+@pytest.mark.parametrize("resolution,cols,rows", [
+    (math.inf, 20, 20), (math.nan, 20, 20), (-math.inf, 20, 20),
+    (1e300, 10 ** 9, 10 ** 9), (1e300, 1, 10 ** 9), (1e300, 10 ** 9, 1)])
+def test_non_finite_resolution_or_extent_rejected(resolution, cols, rows):
+    with pytest.raises(ValueError):
+        GridGeometry(0.0, 0.0, resolution, cols, rows)
+
+
+def test_numpy_and_largest_sizes_accepted():
+    geo = GridGeometry(0.0, 0.0, 0.1, np.int64(4), np.uint8(3))
+    assert geo.n_cells == 12
+    assert GridGeometry(0.0, 0.0, 0.05, 2, 2 ** 62 - 1).n_cells == 2 ** 63 - 2
+    assert GridGeometry(0.0, 0.0, 0.05, 1, 2 ** 63 - 1).n_cells == 2 ** 63 - 1
+
+
+def test_cell_center_on_arrays_equals_scalar_calls():
+    """``cell_center`` of arrays, with broadcasting, equals its calls on
+    each (col, row) bit for bit, also for the -1 padding cell that
+    ``apply_scan`` passes through ``raycast.centre_in_disk``."""
+    geo = GridGeometry(-1.3, 0.7, 0.37, 13, 29)
+    cells = np.array([-1, 0, 1, 12, 13, 200, geo.n_cells - 1])
+    got = geo.cell_center(cells % geo.n_cols, cells // geo.n_cols)
+    want = [geo.cell_center(c % geo.n_cols, c // geo.n_cols)
+            for c in cells.tolist()]
+    assert np.transpose(got).tobytes() == np.array(want).tobytes()
+    cols, rows = np.arange(geo.n_cols)[:, None], np.arange(geo.n_rows)
+    xs, ys = np.broadcast_arrays(*geo.cell_center(cols, rows))
+    want = [[geo.cell_center(c, r) for r in range(geo.n_rows)]
+            for c in range(geo.n_cols)]
+    assert np.stack([xs, ys], axis=2).tobytes() == np.array(want).tobytes()
 
 
 def test_world_cell_round_trip():

@@ -240,9 +240,11 @@ class TestSweepFootprint:
         assert sweeps[0] is None and _outcome(sweeps[1]) == _outcome(narrow)
 
     def test_sweeps_only_paths_the_last_sweep_lacks(self, monkeypatch):
-        """A path that the last call to sweep one also swept, on the same
-        geometry and width, is not swept again, and only that call's paths
-        are kept; each result is the bytes of the oracle, in fresh arrays."""
+        """A call whose paths the last call that swept also swept, on the
+        same geometry and width, sweeps nothing; any other call sweeps its
+        distinct paths, all of them, and keeps only those; an empty call
+        sweeps nothing and keeps what was kept. Each result is the bytes of
+        the oracle, in fresh arrays."""
         real, swept = path._sweep, []
 
         def counted(geometry, pts, width):
@@ -255,14 +257,17 @@ class TestSweepFootprint:
         finer = GridGeometry(0.0, 0.0, 0.025, 160, 160)
         a, b, c = (straight_poses(1.0, 1.5, y) for y in (2.0, 2.2, 2.4))
         far = [(2.0, 2.0, 0.0), (1004.0, 2.0, 0.0)]
-        calls = [(geometry, [a, b, far, a], 0.4, [3]),  # a repeated path once
+        calls = [(geometry, [], 0.4, []),                # nothing to sweep
+                 (geometry, [a, b, far, a], 0.4, [3]),  # a repeated path once
                  (geometry, [np.array(b), far], 0.4, []),  # same bits, kept
                  (geometry, [a], 0.3, [1]),              # another width
                  (geometry, [b], 0.4, [1]),              # gone with that call
                  (finer, [b], 0.4, [1]),                 # another geometry
-                 (finer, [a, b], 0.4, [1]),
+                 (finer, [a, b], 0.4, [2]),              # b swept again with a
                  (finer, [b, a], 0.4, []),
-                 (finer, [c, b], 0.4, [1]),              # keeps c and b only
+                 (finer, [c, b], 0.4, [2]),              # keeps c and b only
+                 (geometry, [], 0.3, []),                # keeps c and b
+                 (finer, [b, c, b], 0.4, []),
                  (finer, [a], 0.4, [1])]
         for geo, paths, width, sizes in calls:
             swept.clear()

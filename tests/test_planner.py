@@ -7,7 +7,7 @@ from lambdafield import (GridGeometry, LambdaGrid, PlannerConfig, RobotShape,
                          SensorModel, plan_step, run_episode, sample_arcs,
                          swept_cells)
 from lambdafield import field, path, planner
-from lambdafield.planner import MAX_ARC_STEPS, admissible_candidates, integrate_arc
+from lambdafield.planner import MAX_ARC_STEPS, admissible_candidates
 import oracle
 
 
@@ -75,7 +75,9 @@ class TestSampleArcs:
         assert end[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_half_circle_endpoint(self):
-        poses = integrate_arc((0.0, 0.0, 0.0), math.pi / 2, math.pi, 1.0, 0.01)
+        cfg = PlannerConfig(v_max=math.pi / 2, omega_max=math.pi, v_samples=1,
+                            omega_samples=3, horizon=1.0, step=0.01)
+        poses = sample_arcs((0.0, 0.0, 0.0), cfg)[-1].poses
         # half circle of radius 0.5: ends at (0, 1) heading backwards
         assert poses[-1][0] == pytest.approx(0.0, abs=1e-9)
         assert poses[-1][1] == pytest.approx(1.0, abs=1e-9)
@@ -91,8 +93,8 @@ class TestSampleArcs:
             np.testing.assert_allclose(cand.poses[0], [2.0, 1.5, 0.7])
 
     def test_equals_integrate_arc_bitwise(self, rng):
-        """Each arc's v, omega and pose bytes equal ``integrate_arc`` of its
-        (v, omega) alone: on 300 seeded poses and configs, with one omega,
+        """Each arc's v, omega and pose bytes equal ``oracle.integrate_arc``
+        of its (v, omega) alone: on 300 seeded poses and configs, with one omega,
         with omega_max = 0, and with arcs too short to take a step."""
         configs = [PlannerConfig(omega_samples=1), PlannerConfig(omega_max=0.0),
                    PlannerConfig(v_max=1e-300, horizon=1e-300)]
