@@ -16,7 +16,8 @@ all runs, and per metric the median and quartiles over the side's runs
 pairs the change won: its run was better than the parent's run of the same
 pair, in the direction that ``BENCHMARK.json`` declares. ``"verdicts"``
 gives per workload and end-to-end metric one of "worse", "unresolved",
-"better" or "within bound" (see ``verdicts``).
+"better" or "within bound" (see ``verdicts``); "better" needs at least 9
+of 10 pairs won and medians further apart than the parent's quartiles.
 Then each side runs every workload once more with ``--trace 1``, whose final
 line holds the per-layer metrics (self times per op); they go under
 ``"traced"``.
@@ -95,8 +96,11 @@ def verdicts(runs: list[dict], end_to_end: list[dict]) -> dict:
     median: "worse" if the change's median is worse than the parent's by
     more than the bound; else "unresolved" if the parent's quartiles lie
     farther apart than the bound and not every run of the change beats
-    every run of the parent; else "better" if the change's median is
-    better; else "within bound"."""
+    every run of the parent; else "better" if the change won at least nine
+    tenths of the pairs (see ``pair_wins``: a tie counts for neither side)
+    and its median is better than the parent's by more than the distance
+    between the parent's quartiles; else "within bound"."""
+    wins = pair_wins(runs, end_to_end)
     out = {}
     for metric in end_to_end:
         name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
@@ -110,7 +114,8 @@ def verdicts(runs: list[dict], end_to_end: list[dict]) -> dict:
             out[name] = "worse"
         elif q3 - q1 > allowed and (sign * change).max() >= (sign * parent).min():
             out[name] = "unresolved"
-        elif worse_by < 0:
+        elif (10 * wins[name]["won"] >= 9 * wins[name]["pairs"]
+              and -worse_by > q3 - q1):
             out[name] = "better"
         else:
             out[name] = "within bound"

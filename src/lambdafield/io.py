@@ -311,11 +311,14 @@ def save_planner_log(path: str | Path, log) -> None:
 
 
 def load_path_csv(path: str | Path) -> np.ndarray:
-    """(N, 3) array of poses from a CSV of x,y,theta rows. Raises
-    ValueError on a missing header or a value that is not a finite number."""
-    poses = np.asarray([[float(v) for v in row[:3]] + [0.0] * (3 - len(row[:3]))
-                        for row in _csv_rows(path, ["x", "y"]) if row],
-                       dtype=np.float64)
+    """(N, 3) array of poses from a CSV of x,y,theta rows; a missing theta
+    is 0. Raises ValueError on a missing header, a row without x and y, or a
+    value that is not a finite number."""
+    rows = [row[:3] for row in _csv_rows(path, ["x", "y"]) if row]
+    if any(len(row) < 2 for row in rows):
+        raise ValueError(f"{path}: a pose row has no y value")
+    poses = np.asarray([[float(v) for v in row] + [0.0] * (3 - len(row))
+                        for row in rows], dtype=np.float64)
     if not np.isfinite(poses).all():
         raise ValueError(f"{path}: pose values must be finite")
     return poses

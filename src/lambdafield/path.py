@@ -23,6 +23,9 @@ from .geometry import GridGeometry
 
 @dataclass(frozen=True)
 class RobotShape:
+    """The robot's footprint width (m) and mass (kg). A path's sweep is a
+    band of width ``width``; ``length`` is checked but nothing reads it."""
+
     width: float = 0.4
     length: float = 0.6
     mass: float = 20.0

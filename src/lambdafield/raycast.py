@@ -80,7 +80,8 @@ def _stack(n: int, parts) -> np.ndarray:
 def _walk(geometry: GridGeometry, o: np.ndarray, e: np.ndarray) -> np.ndarray:
     """``trace_beam`` of the (n, 2) origins and endpoints, with no reuse,
     walking at most ``WALK_CROSSINGS`` padded crossings at a time."""
-    cell = np.stack(geometry.cell_of(o[:, 0], o[:, 1]), axis=1)  # (col, row)
+    start = geometry.flat_of_points(o[:, 0], o[:, 1])
+    cell = np.stack(np.divmod(start, geometry.n_cols)[::-1], axis=1)  # (col, row)
     seg_len = np.array([math.hypot(dx, dy) for dx, dy in (e - o).tolist()])
     # a zero-length or non-finite beam moves along no axis and has no length
     live = (0.0 < seg_len) & (seg_len < math.inf)
@@ -134,8 +135,7 @@ def _walk(geometry: GridGeometry, o: np.ndarray, e: np.ndarray) -> np.ndarray:
     keep = ((x_steps < n_left[:, :1]) & (y_steps < n_left[:, 1:])
             & (chords > 1e-12 * seg_len))
     move = np.where(ahead, 1, -1) * [1, geometry.n_cols]  # flat index per crossing
-    flat = (cell[:, :1] + cell[:, 1:] * geometry.n_cols + move[:, :1] * x_steps
-            + move[:, 1:] * y_steps)
+    flat = start[:, None] + move[:, :1] * x_steps + move[:, 1:] * y_steps
     per_row = keep.sum(axis=1)
     out = np.zeros((len(o), per_row.max(initial=0)), CELL_CHORD)
     out["cell"] = -1

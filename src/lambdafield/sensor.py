@@ -105,7 +105,9 @@ def simulate_scan(truth: GroundTruthMap, pose: tuple[float, float, float],
     with probability 1 - p_hit a spurious early return is injected uniformly
     along the ray; with probability 1 - p_miss a true return is dropped;
     reported ranges are perturbed uniformly within the error disk radius.
-    All beams are traced in one call, whose row count sets the beam count.
+    A pose whose beams could end at a coordinate that overflows raises
+    ValueError. All beams are traced in one call, whose row count sets the
+    beam count.
     Draws, in a fixed order: one per crossed cell, beam by beam from the
     origin outward (none for padding, so they do not depend on the other
     beams' lengths); then one per beam for each of the place in the stop
@@ -118,6 +120,10 @@ def simulate_scan(truth: GroundTruthMap, pose: tuple[float, float, float],
         raise ValueError(f"scan pose ({x}, {y}, {theta}) is not finite")
     if not truth.geometry.contains(x, y):
         raise ValueError(f"pose ({x}, {y}) outside map")
+    # on Python floats, so an endpoint that overflows raises no warning
+    if not all(math.isfinite(abs(float(v)) + float(sensor.max_range)) for v in (x, y)):
+        raise ValueError(f"beams of max_range {sensor.max_range} from "
+                         f"({x}, {y}) end past the largest float")
     angles = theta + 2.0 * math.pi * np.arange(beam_count) / beam_count
     cos, sin = np.cos(angles), np.sin(angles)
     traced = trace_beam(truth.geometry, (x, y), np.stack(

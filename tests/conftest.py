@@ -41,6 +41,11 @@ def counts_grid(hits, misses, sensor=None):
     return grid
 
 
+def flat(geo, col, row):
+    """Flat index of cell (col, row): row-major, as the package numbers cells."""
+    return row * geo.n_cols + col
+
+
 def crossing_of(lambdas, areas):
     """A crossing of cells 0..n-1 with the given intensities as all three
     estimates and the given crossed areas."""

@@ -52,7 +52,7 @@ def incremental_walk(geometry: GridGeometry, origin: tuple[float, float],
     if t_end <= 0.0:
         return []
 
-    col, row = map(int, geometry.cell_of(ox, oy))
+    row, col = divmod(int(geometry.flat_of_points(ox, oy)), geometry.n_cols)
     res = geometry.resolution
 
     step_col = 1 if dx > 0 else -1
@@ -149,9 +149,7 @@ def bayes_update(grid, beam: Beam) -> None:
     cells = walk_records(grid.geometry, beam.origin, end)["cell"].tolist()
     if not cells:
         return
-    occupied = -1
-    if beam.hit and grid.geometry.contains(*end):
-        occupied = grid.geometry.flat(*grid.geometry.cell_of(*end))
+    occupied = int(grid.geometry.flat_or_outside(*end)) if beam.hit else -1
     steps = [(c, grid.l_free) for c in cells if c != occupied]
     if occupied >= 0:
         steps.append((occupied, grid.l_occ))

@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 from scipy.optimize import minimize_scalar
 
-from conftest import counts_grid, crossing_of
+from conftest import counts_grid, crossing_of, flat
 from lambdafield import (BayesGrid, GridGeometry, GroundTruthMap, LambdaGrid,
                          PlannerConfig, RobotShape, SensorModel, apply_scan,
                          bayes_scan, collision_pdf, expected_risk,
@@ -82,7 +82,7 @@ def test_03_closed_form_matches_numeric_maximization(report):
     rng = np.random.default_rng(7)
     sensor = SensorModel()
     e = sensor.error_area
-    cell_area = 0.01
+    area = 0.01   # of a cell
     worst_gap = 0.0
     worst_grad = 0.0
     scenarios = 0
@@ -104,13 +104,13 @@ def test_03_closed_form_matches_numeric_maximization(report):
         for h, m, closed in zip(hits, misses,
                                 counts_grid(hits, misses, sensor).lambda_map()):
             def neg_loglik(lam):
-                return (m * cell_area * lam
-                        - h * (cell_area / e) * math.log(-math.expm1(-e * lam)))
+                return (m * area * lam
+                        - h * (area / e) * math.log(-math.expm1(-e * lam)))
 
             res = minimize_scalar(neg_loglik, bounds=(1e-9, 200.0),
                                   method="bounded",
                                   options={"xatol": 1e-10})
-            grad = -m * cell_area + h * cell_area / math.expm1(e * closed)
+            grad = -m * area + h * area / math.expm1(e * closed)
             worst_gap = max(worst_gap, abs(res.x - closed))
             worst_grad = max(worst_grad, abs(grad))
     ok = worst_gap < 1e-6 and worst_grad < 1e-9
@@ -232,7 +232,7 @@ def test_09_planner_stops_when_blocked_and_stays_under_budget(report):
     blocked.misses[:] = 100
     for col in range(20, 26):
         for row in range(0, 40):
-            i = geo.flat(col, row)
+            i = flat(geo, col, row)
             blocked.hits[i] = 100
             blocked.misses[i] = 0
     stop = plan_step(blocked, (1.95, 2.0, 0.0), ref, shape, cfg)

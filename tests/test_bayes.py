@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import flat
 from lambdafield import (Beam, BayesGrid, GridGeometry, SensorModel, bayes_scan,
                          naive_path_probability, raycast)
 
@@ -16,12 +17,12 @@ class TestBayesUpdate:
     def test_single_hit_from_prior(self, geometry, sensor):
         grid = BayesGrid(geometry, p_occ_given_hit=0.7)
         bayes_scan(grid, [hit_beam(1.05, 2.05, 1.0)], sensor)
-        occupied = geometry.flat(*geometry.cell_of(2.05, 2.05))
+        occupied = flat(geometry, 20, 20)
         assert grid.occupancy()[occupied] == pytest.approx(0.7, abs=1e-12)
 
     def test_symmetric_updates_cancel(self, geometry, sensor):
         grid = BayesGrid(geometry, p_occ_given_hit=0.7, p_free_given_miss=0.7)
-        target = geometry.flat(*geometry.cell_of(2.05, 2.05))
+        target = flat(geometry, 20, 20)
         for _ in range(5):
             bayes_scan(grid, [hit_beam(1.95, 2.05, 0.1)], sensor)
         # five misses through the same cell from a beam ending past it
@@ -32,7 +33,7 @@ class TestBayesUpdate:
     def test_traversed_cells_go_toward_free(self, geometry, sensor):
         grid = BayesGrid(geometry)
         bayes_scan(grid, [hit_beam(0.05, 2.05, 2.0)], sensor)
-        free_cell = geometry.flat(5, 20)
+        free_cell = flat(geometry, 5, 20)
         assert grid.occupancy()[free_cell] < 0.5
 
     def test_log_odds_clamped(self, geometry, sensor):

@@ -49,6 +49,17 @@ def sides(parent: list[float], change: list[float]) -> list[dict]:
      "unresolved"),
     ([5.0, 7.0, 9.0, 10.0, 7.0, 10.0], [4.0, 4.5, 4.2, 4.1, 4.9, 3.0],
      "better"),   # every run of the change below every run of the parent
+    # map-400 op_ms_p50 of BENCH_19.json: a lower median, but 5 of 10 pairs
+    ([19.347, 28.589, 27.204, 25.624, 28.351, 23.921, 21.821, 21.424, 23.807,
+      27.134],
+     [20.033, 26.076, 24.423, 24.681, 24.635, 24.375, 23.294, 24.031, 21.74,
+      28.753], "within bound"),
+    # 10 of 10 pairs, but the medians 11.0 and 10.9 lie inside the parent's
+    # quartiles 10.0 and 12.0
+    ([10.0, 12.0] * 5, [9.9, 11.9] * 5, "within bound"),
+    # 9 of 10 pairs (a tie wins nothing), and the medians 10.5 and 9.0 lie
+    # further apart than the parent's quartiles 10.0 and 11.0
+    ([10.0, 11.0] * 5, [10.0] + [8.5, 9.0] * 4 + [9.0], "better"),
 ])
 def test_verdicts_judge_the_medians_against_the_bound(parent, change, verdict,
                                                       better):

@@ -213,6 +213,18 @@ BAD_INPUTS = [
      "map s.yaml", 2),
     ("map: grid cols 20.0",
      {"s.yaml": scenario(grid={"cols": 20.0, "rows": 20})}, "map s.yaml", 2),
+    ("map: grid far edge overflows",
+     {"s.yaml": scenario(grid={"origin": [1.7e308, 0.0], "resolution": 1e306,
+                               "cols": 20, "rows": 20},
+                         sensor={"max_range": 1e307},
+                         scan={"poses": [[1.75e308, 1e306, 0.0]], "beams": 8})},
+     "map s.yaml", 2),
+    ("map: scan endpoints overflow",
+     {"s.yaml": scenario(grid={"origin": [0.0, 0.0], "resolution": 1e306,
+                               "cols": 100, "rows": 100},
+                         sensor={"max_range": 1.5e308},
+                         scan={"poses": [[5e307, 5e307, 0.0]], "beams": 8})},
+     "map s.yaml", 2),
     ("map: scenario is not YAML", {"s.yaml": "grid: [cols: 4\n"},
      "map s.yaml", 2),
     ("map: missing scenario file", {}, "map s.yaml", 3),
@@ -296,6 +308,8 @@ BAD_INPUTS = [
     ("eval-path: NaN in the path", {"p.csv": path_text([1.0, float("nan")])},
      "eval-path {mapped}/lambda_grid.dump p.csv", 3),
     ("eval-path: empty path file", {"p.csv": ""},
+     "eval-path {mapped}/lambda_grid.dump p.csv", 3),
+    ("eval-path: path row with one value", {"p.csv": "x,y,theta\n1.5\n"},
      "eval-path {mapped}/lambda_grid.dump p.csv", 3),
     ("eval-path: missing dump", {"p.csv": PATH},
      "eval-path lambda_grid.dump p.csv", 3),

@@ -3,12 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import flat
 from lambdafield import GridGeometry
-
-
-def test_cell_area_is_resolution_squared():
-    geo = GridGeometry(0.0, 0.0, 0.25, 4, 3)
-    assert geo.cell_area == 0.25 ** 2
 
 
 def test_invalid_parameters_rejected():
@@ -34,6 +30,17 @@ def test_sizes_it_cannot_index_rejected(cols, rows):
 def test_non_finite_resolution_or_extent_rejected(resolution, cols, rows):
     with pytest.raises(ValueError):
         GridGeometry(0.0, 0.0, resolution, cols, rows)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x,y", [(1.7e308, 0.0), (0.0, 1.7e308), (math.nan, 0.0),
+                                 (0.0, math.inf), (-math.inf, 0.0)])
+def test_far_edge_must_be_finite(x, y):
+    """An origin that is not finite, or a finite origin whose far edge
+    overflows, raises ValueError and no warning."""
+    with pytest.raises(ValueError, match="far edges"):
+        GridGeometry(x, y, 1e306, 20, 20)
+    assert GridGeometry(-1.7e308, 1.5e308, 1e306, 20, 20).contains(-1.7e308, 1.5e308)
 
 
 def test_numpy_and_largest_sizes_accepted():
@@ -64,36 +71,31 @@ def test_world_cell_round_trip():
     geo = GridGeometry(-1.0, 2.0, 0.1, 30, 20)
     for col, row in [(0, 0), (7, 3), (29, 19)]:
         x, y = geo.cell_center(col, row)
-        assert geo.cell_of(x, y) == (col, row)
+        assert geo.flat_of_points(x, y) == flat(geo, col, row)
 
 
 def test_point_outside_raises():
     geo = GridGeometry(0.0, 0.0, 0.1, 10, 10)
     with pytest.raises(ValueError):
-        geo.cell_of(1.5, 0.5)
+        geo.flat_of_points(1.5, 0.5)
+    assert geo.flat_or_outside(1.5, 0.5) == -1
     assert not geo.contains(-0.01, 0.5)
     assert geo.contains(0.0, 0.0)
 
 
-def test_flat_round_trip():
-    geo = GridGeometry(0.0, 0.0, 0.1, 7, 5)
-    for i in range(geo.n_cells):
-        col, row = geo.unflat(i)
-        assert geo.flat(col, row) == i
-    with pytest.raises(IndexError):
-        geo.flat(7, 0)
-    with pytest.raises(IndexError):
-        geo.unflat(35)
-
-
 def test_flat_of_points_vectorized_matches_scalar():
+    """Inside, a point's cell is its offset from the origin in cells,
+    truncated; the vectorized lookups equal their scalar calls."""
     geo = GridGeometry(0.5, -0.5, 0.2, 12, 9)
     rng = np.random.default_rng(0)
     xs = geo.origin_x + rng.random(50) * geo.width * 0.999
     ys = geo.origin_y + rng.random(50) * geo.height * 0.999
-    flat = geo.flat_of_points(xs, ys)
-    for x, y, f in zip(xs, ys, flat):
-        assert geo.flat(*geo.cell_of(x, y)) == f
+    got = geo.flat_of_points(xs, ys)
+    assert got.tolist() == geo.flat_or_outside(xs, ys).tolist()
+    for x, y, f in zip(xs.tolist(), ys.tolist(), got.tolist()):
+        assert f == flat(geo, int((x - geo.origin_x) / geo.resolution),
+                         int((y - geo.origin_y) / geo.resolution))
+        assert geo.flat_of_points(x, y) == geo.flat_or_outside(x, y) == f
     with pytest.raises(ValueError):
         geo.flat_of_points(np.array([0.0]), np.array([0.0]))
 
@@ -102,32 +104,33 @@ def test_flat_of_points_vectorized_matches_scalar():
 @pytest.mark.parametrize("geo", [GridGeometry(0.0, 0.0, 0.13, 88, 4),
                                  GridGeometry(-1.3, -1.3, 0.05, 42, 42)])
 def test_one_point_to_cell_rule(geo):
-    """``contains``, ``cell_of``, ``flat_or_outside`` and ``flat_of_points``
-    agree one ulp below each upper edge, on each lower and upper edge, and
-    on NaN and infinite coordinates, which are outside and raise no
-    warning."""
+    """``contains``, ``flat_or_outside`` and ``flat_of_points`` agree one ulp
+    below each upper edge, on each lower and upper edge, and on NaN and
+    infinite coordinates, which are outside and raise no warning. The ulp
+    below an upper edge lies in the last cell."""
     x_top = np.nextafter(geo.origin_x + geo.width, -np.inf)
     y_top = np.nextafter(geo.origin_y + geo.height, -np.inf)
-    x_mid, y_mid = geo.cell_center(geo.n_cols // 2, geo.n_rows // 2)
-    inside = [(x_top, y_mid), (x_mid, y_top), (x_top, y_top),
-              (geo.origin_x, y_mid), (x_mid, geo.origin_y),
-              (geo.origin_x, geo.origin_y)]
+    mid_col, mid_row = geo.n_cols // 2, geo.n_rows // 2
+    last_col, last_row = geo.n_cols - 1, geo.n_rows - 1
+    x_mid, y_mid = geo.cell_center(mid_col, mid_row)
+    inside = {(x_top, y_mid): (last_col, mid_row),
+              (x_mid, y_top): (mid_col, last_row),
+              (x_top, y_top): (last_col, last_row),
+              (geo.origin_x, y_mid): (0, mid_row),
+              (x_mid, geo.origin_y): (mid_col, 0),
+              (geo.origin_x, geo.origin_y): (0, 0)}
     odd = [np.nan, np.inf, -np.inf]
     outside = ([(v, y_mid) for v in odd] + [(x_mid, v) for v in odd]
                + [(geo.origin_x + geo.width, y_mid),
                   (x_mid, geo.origin_y + geo.height)])
-    for x, y in inside + outside:
+    for (x, y), (col, row) in inside.items():
         xs, ys = np.array([x]), np.array([y])
-        flat = geo.flat_or_outside(xs, ys)
-        if geo.contains(x, y):
-            assert flat.tolist() == [geo.flat(*geo.cell_of(x, y))]
-            assert geo.flat_of_points(xs, ys).tolist() == flat.tolist()
-        else:
-            assert flat.tolist() == [-1]
-            with pytest.raises(ValueError):
-                geo.cell_of(x, y)
-            with pytest.raises(ValueError):
-                geo.flat_of_points(xs, ys)
-    assert geo.contains(*np.transpose(inside)).all()
+        assert geo.flat_or_outside(xs, ys).tolist() == [flat(geo, col, row)]
+        assert geo.flat_of_points(xs, ys).tolist() == [flat(geo, col, row)]
+    for x, y in outside:
+        xs, ys = np.array([x]), np.array([y])
+        assert geo.flat_or_outside(xs, ys).tolist() == [-1]
+        with pytest.raises(ValueError):
+            geo.flat_of_points(xs, ys)
+    assert geo.contains(*np.transpose(list(inside))).all()
     assert not geo.contains(*np.transpose(outside)).any()
-    assert geo.cell_of(x_top, y_top) == (geo.n_cols - 1, geo.n_rows - 1)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import crossing_of
+from conftest import crossing_of, flat
 from lambdafield import (BayesGrid, GridGeometry, LambdaGrid, PathCrossing,
                          SensorModel, collision_pdf, expected_risk,
                          path_collision_probability)
@@ -172,7 +172,7 @@ class TestCsvExports:
         lam = populated_grid.lambda_map()
         low, high = populated_grid.bound_maps()
         probe = rows[17]
-        i = populated_grid.geometry.flat(int(probe["col"]), int(probe["row"]))
+        i = flat(populated_grid.geometry, int(probe["col"]), int(probe["row"]))
         assert float(probe["lambda"]) == lam[i]
         assert float(probe["lambda_low"]) == low[i]
         assert float(probe["lambda_high"]) == high[i]
@@ -201,7 +201,7 @@ class TestPgm:
         f = tmp_path / "truth.csv"
         f.write_text("col,row,lambda\n3,4,2.5\n")
         truth = lfio.load_ground_truth(f, geometry)
-        assert truth.intensities[geometry.flat(3, 4)] == 2.5
+        assert truth.intensities[flat(geometry, 3, 4)] == 2.5
         assert truth.intensities.sum() == 2.5
 
 
@@ -228,6 +228,17 @@ class TestScanAndPathFiles:
         f = tmp_path / "path.csv"
         lfio.save_path_csv(f, poses)
         np.testing.assert_array_equal(lfio.load_path_csv(f), poses)
+
+    def test_path_rows_need_x_and_y(self, tmp_path):
+        """theta may be left out (it is 0); a row without y is an error, not
+        a pose at y = 0."""
+        f = tmp_path / "path.csv"
+        f.write_text("x,y,theta\n1.5,2.0\n\n0.5,1.0,0.25\n")
+        np.testing.assert_array_equal(lfio.load_path_csv(f),
+                                      [[1.5, 2.0, 0.0], [0.5, 1.0, 0.25]])
+        f.write_text("x,y,theta\n1.0,2.0,0.0\n1.5\n")
+        with pytest.raises(ValueError, match="no y"):
+            lfio.load_path_csv(f)
 
     def test_risk_report_columns(self, tmp_path):
         crossing = crossing_of([0.5, 2.0, 0.1], [0.04] * 3)
@@ -306,7 +317,7 @@ def _oracle_export_lambda_csv(grid, path):
         writer.writerow(["col", "row", "h", "m", "lambda", "lambda_low",
                          "lambda_high"])
         for i in range(geo.n_cells):
-            col, row = geo.unflat(i)
+            row, col = divmod(i, geo.n_cols)
             writer.writerow([col, row, int(grid.hits[i]), int(grid.misses[i]),
                              repr(float(lam[i])), repr(float(low[i])),
                              repr(float(high[i]))])
@@ -319,7 +330,7 @@ def _oracle_export_bayes_csv(grid, path):
         writer = csv.writer(fh)
         writer.writerow(["col", "row", "log_odds", "p_occ"])
         for i in range(geo.n_cells):
-            col, row = geo.unflat(i)
+            row, col = divmod(i, geo.n_cols)
             writer.writerow([col, row, repr(float(grid.log_odds[i])),
                              repr(float(occ[i]))])
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import flat
 from lambdafield import (GridGeometry, LambdaGrid, PlannerConfig, RobotShape,
                          SensorModel, plan_step, run_episode, sample_arcs,
                          swept_cells)
@@ -28,7 +29,7 @@ def block(grid, x0, x1, y0, y1):
     geo = grid.geometry
     for col in range(int(x0 / 0.1), int(x1 / 0.1)):
         for row in range(int(y0 / 0.1), int(y1 / 0.1)):
-            i = geo.flat(col, row)
+            i = flat(geo, col, row)
             grid.hits[i] = 100
             grid.misses[i] = 0
 
@@ -157,7 +158,7 @@ class TestPlanStep:
         def paint(x0, x1, y0, y1, hits, misses):
             for col in range(int(round(x0 / 0.1)), int(round(x1 / 0.1))):
                 for row in range(int(round(y0 / 0.1)), int(round(y1 / 0.1))):
-                    i = geo.flat(col, row)
+                    i = flat(geo, col, row)
                     grid.hits[i] = hits
                     grid.misses[i] = misses
 

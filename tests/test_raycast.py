@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import flat
 from lambdafield import GridGeometry, error_region_cells, raycast, trace_beam
 from oracle import incremental_walk
 
@@ -66,7 +67,7 @@ class TestTraceBeam:
         # cells advance monotonically away from the origin
         prev = None
         for idx, _ in cells:
-            col, row = geometry.unflat(idx)
+            row, col = divmod(idx, geometry.n_cols)
             if prev is not None:
                 dcol, drow = col - prev[0], row - prev[1]
                 assert dcol in (0, 1) and drow in (0, 1) and dcol + drow >= 1
@@ -214,21 +215,22 @@ class TestErrorRegion:
         # edge neighbors at 0.1 < 0.1128, diagonals at 0.1414 excluded
         center = geometry.cell_center(5, 5)
         cells = set(error_region_cells(geometry, center, 0.1128))
-        expected = {geometry.flat(5, 5), geometry.flat(4, 5), geometry.flat(6, 5),
-                    geometry.flat(5, 4), geometry.flat(5, 6)}
+        expected = {flat(geometry, 5, 5), flat(geometry, 4, 5),
+                    flat(geometry, 6, 5), flat(geometry, 5, 4),
+                    flat(geometry, 5, 6)}
         assert cells == expected
 
     def test_centre_on_the_rim_is_inside(self):
         # binary-exact centres: the four edge neighbours lie exactly on the rim
         geo = GridGeometry(0.0, 0.0, 0.5, 8, 8)
         cells = set(error_region_cells(geo, geo.cell_center(3, 3), 0.5))
-        assert cells == {geo.flat(3, 3), geo.flat(2, 3), geo.flat(4, 3),
-                         geo.flat(3, 2), geo.flat(3, 4)}
+        assert cells == {flat(geo, 3, 3), flat(geo, 2, 3), flat(geo, 4, 3),
+                         flat(geo, 3, 2), flat(geo, 3, 4)}
 
     def test_tiny_disk_single_cell(self, geometry):
         center = geometry.cell_center(2, 7)
         cells = error_region_cells(geometry, center, 0.04)
-        assert list(cells) == [geometry.flat(2, 7)]
+        assert list(cells) == [flat(geometry, 2, 7)]
 
     def test_disk_fully_outside_grid(self, geometry):
         assert len(error_region_cells(geometry, (50.0, 50.0), 0.2)) == 0
@@ -262,6 +264,6 @@ class TestErrorRegion:
             radius = 0.05 + rng.random() * 0.3
             cells = set(error_region_cells(geometry, (cx, cy), radius))
             for i in range(geometry.n_cells):
-                x, y = geometry.cell_center(*geometry.unflat(i))
+                x, y = geometry.cell_center(*divmod(i, geometry.n_cols)[::-1])
                 inside = (x - cx) ** 2 + (y - cy) ** 2 <= radius ** 2
                 assert (i in cells) == inside

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import flat
 import lambdafield
 from lambdafield import (Beam, BayesGrid, GridGeometry, GroundTruthMap,
                          LambdaGrid, SensorModel, apply_scan, bayes_scan,
@@ -105,9 +106,7 @@ def sign_runs(geometry: GridGeometry, beams: list[Beam]) -> int:
     signs: dict[int, list[bool]] = {}
     for beam in beams:
         end = beam.endpoint()
-        occupied = -1
-        if beam.hit and geometry.contains(*end):
-            occupied = geometry.flat(*geometry.cell_of(*end))
+        occupied = int(geometry.flat_or_outside(*end)) if beam.hit else -1
         cells = [c for c, _ in oracle.incremental_walk(geometry, beam.origin, end)]
         for c in cells:
             signs.setdefault(c, []).append(c == occupied)
@@ -160,7 +159,7 @@ def test_log_odds_fold_of_a_run_that_never_reaches_the_clamp(rng):
     start = rng.uniform(-2.0, 2.0, geometry.n_cells)
     grid = assert_fold_equals_oracle(geometry, [beams], 10.0, 0.5005, 0.5005,
                                      start)
-    cell = geometry.flat(7, 9)
+    cell = flat(geometry, 7, 9)
     assert grid.log_odds[cell] == pytest.approx(start[cell] + 400 * grid.l_free)
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import flat
 from lambdafield import (Beam, GridGeometry, GroundTruthMap, LambdaGrid,
                          SensorModel, apply_scan, simulate_scan)
 
@@ -54,10 +55,10 @@ class TestApplyBeam:
         for _ in range(n):
             apply_scan(grid, [make_hit_beam(2.0)], sensor)
         geo = grid.geometry
-        center = geo.flat(*geo.cell_of(2.05, 2.05))
+        center = flat(geo, 20, 20)
         hits, misses = int(grid.hits[center]), int(grid.misses[center])
         assert hits == n and misses == 0
-        assert grid.misses[geo.flat(0, 20)] == n
+        assert grid.misses[flat(geo, 0, 20)] == n
         expected = math.log1p(hits / misses) / sensor.error_area \
             if misses else grid.lambda_max
         assert grid.lambda_map([center])[0] == expected
