@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .field import SensorModel, collision_probability
+from .field import SensorModel, _run_heads, collision_probability
 from .geometry import GridGeometry
 from .raycast import trace_beam
 from .sensor import Beam, beam_arrays
@@ -74,9 +74,7 @@ def bayes_scan(grid: BayesGrid, beams: list[Beam], sensor: SensorModel) -> None:
         steps = steps.astype(np.int32)  # sorts in about half the time
     steps.sort()
     run = (steps >> shift << 1) | (steps & 1)  # (cell, occupied) of each step
-    head = np.ones(len(run), bool)
-    np.not_equal(run[1:], run[:-1], out=head[1:])
-    head = np.flatnonzero(head)
+    head = _run_heads(run)
     run, length = run[head], np.diff(head, append=len(steps))
     cell, occ = run >> 1, (run & 1).astype(bool)
     # a cell's runs follow each other; the r-th of them is folded in pass r

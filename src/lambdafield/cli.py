@@ -182,8 +182,8 @@ class ErrorBoundary(click.Group):
 
 
 def _output_dir(explicit: str | None, scenario: Scenario | None = None) -> Path:
-    default = scenario.raw.get("output_dir", ".") if scenario else "."
-    out = Path(explicit or default)
+    """The output directory, made; called once there is output to write."""
+    out = Path(explicit or (scenario.raw.get("output_dir", ".") if scenario else "."))
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -227,8 +227,8 @@ def cmd_map(scenario_file, seed, output_dir):
     """Simulate scans and write field + baseline dumps and renders."""
     scenario = Scenario.load(scenario_file)
     seed = scenario.seed if seed is None else seed
-    out = _output_dir(output_dir, scenario)
     field, bayes, scans = _build_maps(scenario, seed)
+    out = _output_dir(output_dir, scenario)
     lfio.save_lambda_grid(field, out / "lambda_grid.dump")
     lfio.save_bayes_grid(bayes, out / "bayes_grid.dump")
     lfio.export_lambda_csv(field, out / "lambda_grid.csv")
@@ -247,8 +247,8 @@ def cmd_simulate_scans(scenario_file, seed, output_dir):
     """Simulate lidar scans and write only the scan log."""
     scenario = Scenario.load(scenario_file)
     seed = scenario.seed if seed is None else seed
-    out = _output_dir(output_dir, scenario)
     scans = list(_simulate_scans(scenario, seed))
+    out = _output_dir(output_dir, scenario)
     lfio.save_scan_log(out / "scans.csv", scans)
     click.echo(f"wrote {sum(len(b) for _, _, b in scans)} beams to {out}")
 
@@ -277,7 +277,6 @@ def cmd_eval_path(dump_file, path_file, engine, bound, width, mass, speed,
               and ctx.get_parameter_source(p.name) is not ParameterSource.DEFAULT]
     if engine == "bayes" and unused:
         raise ValueError(f"{', '.join(unused)}: not used by --engine bayes")
-    out = _output_dir(output_dir)
     poses = _load(lfio.load_path_csv, path_file)
     loader = lfio.load_bayes_grid if engine == "bayes" else lfio.load_lambda_grid
     grid = _load(loader, dump_file)
@@ -291,6 +290,8 @@ def cmd_eval_path(dump_file, path_file, engine, bound, width, mass, speed,
         risk_fn = ((lambda a: 1.0) if unit_risk
                    else momentum_risk(shape, constant_velocity(speed)))
         risk = f"{expected_risk(crossing, risk_fn, bound)!r}"
+    out = _output_dir(output_dir)
+    if engine == "lambda":
         lfio.save_risk_report(out / "risk_report.csv", crossing, risk_fn, bound)
     (out / "summary.csv").write_text(
         f"engine,p_coll,expected_risk\n{engine},{p_coll!r},{risk}\n")
@@ -308,7 +309,6 @@ def cmd_plan(scenario_file, reference_path, seed, output_dir):
     """Map the scenario, then run the risk-gated planning episode."""
     scenario = Scenario.load(scenario_file)
     seed = scenario.seed if seed is None else seed
-    out = _output_dir(output_dir, scenario)
     reference = _load(lfio.load_path_csv, reference_path)
     field, _, _ = _build_maps(scenario, seed)
     # the episode starts at the reference's first pose; run_episode rejects
@@ -316,6 +316,7 @@ def cmd_plan(scenario_file, reference_path, seed, output_dir):
     start = tuple(reference[0]) if len(reference) else ()
     log, trace = run_episode(field, start, reference, scenario.shape,
                              scenario.planner, scenario.max_steps)
+    out = _output_dir(output_dir, scenario)
     lfio.save_planner_log(out / "planner_log.csv", log)
     lfio.save_path_csv(out / "trace.csv", trace)
     stopped = any(step.stopped for step in log)
@@ -349,7 +350,6 @@ def cmd_compare(base_prob, base_resolution, base_cells, resolutions,
     region_area = base_cells * base_area
     if not all(region_area / (r * r) < math.inf for r in res_list):
         raise ValueError("--resolutions: the region holds too many cells")
-    out = _output_dir(output_dir)
     intensity = -math.log1p(-base_prob) / base_area
     # closed forms over n_cells equal cells: no per-cell arrays
     n_cells = [max(1, round(region_area / (r * r))) for r in res_list]
@@ -357,6 +357,7 @@ def cmd_compare(base_prob, base_resolution, base_cells, resolutions,
                 for n, r in zip(n_cells, res_list)]
     p_bayes = [collision_probability(-n * math.log1p(-base_prob))
                for n in n_cells]
+    out = _output_dir(output_dir)
     lfio._write_table(out / "compare.csv",
                       [("resolution", "p_lambda", "p_bayes_naive")],
                       [res_list, p_lambda, p_bayes])

@@ -89,10 +89,17 @@ def collision_probability(integrated: float) -> float:
     return -math.expm1(-integrated)
 
 
-def _add_counts(counts: np.ndarray, indices: np.ndarray) -> None:
-    """One count per occurrence of each flat index, saturating at COUNT_MAX;
-    the cost follows the indices, not the grid."""
-    cells, k = np.unique(indices, return_counts=True)
+def _run_heads(a: np.ndarray) -> np.ndarray:
+    """Positions in ``a`` where a run of equal values starts."""
+    return np.flatnonzero(np.concatenate((np.ones(len(a[:1]), bool), a[1:] != a[:-1])))
+
+
+def _add_counts(counts: np.ndarray, indices) -> None:
+    """One count per occurrence of each flat index, saturating at COUNT_MAX:
+    one sort of the indices (int32 if the grid fits), each run adds its length."""
+    keys = np.sort(np.asarray(indices, np.int32 if len(counts) <= 2**31 else np.int64))
+    head = _run_heads(keys)
+    cells, k = keys[head].astype(np.intp), np.diff(head, append=len(keys))
     counts[cells] = np.minimum(counts[cells] + k, COUNT_MAX)
 
 

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .field import LambdaGrid, collision_probability
+from .field import LambdaGrid, _run_heads, collision_probability
 from .geometry import GridGeometry
 
 
@@ -259,14 +259,6 @@ def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     first = np.zeros(n, dtype=bool)
     first[at] = True
     return first, label
-
-
-def _run_heads(a: np.ndarray) -> np.ndarray:
-    """Positions in ``a`` where a run of equal values starts."""
-    head = np.empty(len(a), dtype=bool)
-    head[:1] = True
-    np.not_equal(a[1:], a[:-1], out=head[1:])
-    return np.flatnonzero(head)
 
 
 def risk_terms(crossing: PathCrossing, use_bound: str = "mle"

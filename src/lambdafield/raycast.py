@@ -25,10 +25,10 @@ def trace_beam(geometry: GridGeometry, origins, endpoints) -> np.ndarray:
     the grid boundary, and a non-finite one crosses no cell. Returns an
     (n, m) ``CELL_CHORD`` array: row k holds beam k's cells (flat ``cell``
     index, ``chord`` length) ordered from the origin outward, then padding
-    with ``cell == -1`` and ``chord == 0``. A row's chords sum to its
-    clipped segment length. Each axis's boundary crossings are summed in the
-    order of the incremental walk (Amanatides & Woo), so every row equals
-    that walk's records bit for bit.
+    with ``cell == -1`` and ``chord == 0`` up to the most cells of a row. A
+    row's chords sum to its clipped segment length. Each axis's boundary
+    crossings are summed in the order of the incremental walk (Amanatides &
+    Woo), so every row equals that walk's records bit for bit.
 
     A row depends only on its own segment, so the rows of the previous call
     are reused: row k is walked again only if the geometry or the bits of
@@ -79,7 +79,8 @@ def _stack(n: int, parts) -> np.ndarray:
 
 def _walk(geometry: GridGeometry, o: np.ndarray, e: np.ndarray) -> np.ndarray:
     """``trace_beam`` of the (n, 2) origins and endpoints, with no reuse,
-    walking at most ``WALK_CROSSINGS`` padded crossings at a time."""
+    walking at most ``WALK_CROSSINGS`` padded crossings at a time; the rows
+    that are sorted are as wide as the longest row's crossings."""
     start = geometry.flat_of_points(o[:, 0], o[:, 1])
     cell = np.stack(np.divmod(start, geometry.n_cols)[::-1], axis=1)  # (col, row)
     seg_len = np.array([math.hypot(dx, dy) for dx, dy in (e - o).tolist()])
@@ -96,7 +97,7 @@ def _walk(geometry: GridGeometry, o: np.ndarray, e: np.ndarray) -> np.ndarray:
     t_end = np.minimum(1.0, np.where(moving, exit_t, math.inf).min(1, keepdims=True))
     # per axis, the boundary crossings before t_end up to the one that leaves
     # the grid: the first crossing plus the per-cell step, summed in order as
-    # the incremental walk adds them, padded with inf
+    # the incremental walk adds them
     first = (lo + np.where(ahead, cell + 1, cell) * res - o) / safe_d
     step = res / np.abs(safe_d)
     n_left = np.where(ahead, n_cells - cell, cell + 1)
@@ -112,30 +113,30 @@ def _walk(geometry: GridGeometry, o: np.ndarray, e: np.ndarray) -> np.ndarray:
             for k in range(0, len(o), chunk)])
     times = np.repeat(step[..., None], count.max(initial=0), axis=2)
     times[..., :1] = first[..., None]
-    times = np.cumsum(times, axis=2)
-    past = np.arange(times.shape[2]) >= count[..., None]
-    times[past | (times >= t_end[..., None])] = math.inf
-    times = np.concatenate(times.transpose(1, 0, 2), axis=1)  # x crossings, then y
-
+    np.cumsum(times, axis=2, out=times)
+    # an axis's crossings increase, so the ones before t_end are a prefix;
+    # each row's are packed to its own count, x then y, padded with t_end
+    valid = (np.arange(times.shape[2]) < count[..., None]) & (times < t_end[..., None])
+    n_x, total = valid[:, 0].sum(axis=1), valid.sum(axis=(1, 2))
+    edges = np.empty((len(o), int(total.max(initial=0)) + 2))
+    edges[:, 0], edges[:, 1:] = 0.0, t_end
+    crossings = edges[:, 1:-1]
+    crossings[np.arange(crossings.shape[1]) < total[:, None]] = times[valid]
     # edges are 0, the crossings in time order, then t_end; the cell entered
     # at a crossing is the start cell moved by each axis's crossings so far
-    # (at a tie the cell in between gets a zero chord, a dropped sliver; the
-    # sorted times equal the times gathered in ``order`` but for the order of
-    # a +0.0 and a -0.0, which changes only zero chords)
-    order = np.argsort(times, axis=1, kind="stable")
-    edges = np.empty((len(times), times.shape[1] + 2))
-    edges[:, 0], edges[:, -1] = 0.0, math.inf
-    edges[:, 1:-1] = np.sort(times, axis=1)
-    np.minimum(edges, t_end, out=edges)
-    chords = (edges[:, 1:] - edges[:, :-1]) * seg_len
-    x_steps = np.zeros((len(times), times.shape[1] + 1), np.int32)
-    np.cumsum(order < times.shape[1] // 2, axis=1, out=x_steps[:, 1:])
-    y_steps = np.arange(times.shape[1] + 1) - x_steps
+    # (at a tie the cell in between gets a zero chord, a dropped sliver)
+    is_x = np.argsort(crossings, axis=1, kind="stable") < n_x[:, None]
+    crossings.sort(axis=1)
+    chords = np.diff(edges, axis=1) * seg_len
+    x_steps = np.zeros(chords.shape, np.int64)
+    np.cumsum(is_x, axis=1, out=x_steps[:, 1:])
+    column = np.arange(chords.shape[1])  # a cell's y steps are column - x_steps
     # drop the cells past a grid exit (an axis's n_left-th crossing) and slivers
-    keep = ((x_steps < n_left[:, :1]) & (y_steps < n_left[:, 1:])
+    keep = ((x_steps < n_left[:, :1]) & (x_steps > column - n_left[:, 1:])
             & (chords > 1e-12 * seg_len))
     move = np.where(ahead, 1, -1) * [1, geometry.n_cols]  # flat index per crossing
-    flat = start[:, None] + move[:, :1] * x_steps + move[:, 1:] * y_steps
+    flat = x_steps * (move[:, :1] - move[:, 1:])
+    flat += move[:, 1:] * column + start[:, None]
     per_row = keep.sum(axis=1)
     out = np.zeros((len(o), per_row.max(initial=0)), CELL_CHORD)
     out["cell"] = -1

@@ -66,10 +66,13 @@ class GroundTruthMap:
 
 
 def beam_arrays(beams: list[Beam]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(origins, endpoints, hit flags) of the beams: (n, 2), (n, 2), (n,) arrays."""
-    origins = np.array([b.origin for b in beams], np.float64).reshape(-1, 2)
-    ends = np.array([b.endpoint() for b in beams], np.float64).reshape(-1, 2)
-    return origins, ends, np.array([b.hit for b in beams], bool)
+    """(origins, endpoints, hit flags) of the beams: (n, 2), (n, 2), (n,)
+    arrays, read in one pass; endpoints by ``Beam.endpoint``'s float ops."""
+    rows = np.array([(*b.origin, *b.direction, b.measured_range, b.hit)
+                     for b in beams], np.float64).reshape(-1, 6)
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats do
+        ends = rows[:, :2] + rows[:, 2:4] * rows[:, 4:5]
+    return rows[:, :2], ends, rows[:, 5] != 0
 
 
 def apply_scan(grid: LambdaGrid, beams: list[Beam], sensor: SensorModel) -> None:
@@ -81,15 +84,23 @@ def apply_scan(grid: LambdaGrid, beams: list[Beam], sensor: SensorModel) -> None
     hit only. No-return beams mark every traversed cell as missed. Each beam
     adds one count per cell, so the result equals folding the beams in one at
     a time; the traced row count sets how many are folded in. A hit beam with
-    a non-finite endpoint raises ValueError before any count."""
+    a non-finite endpoint raises ValueError before any count. Only the last
+    2 * ceil(r / res) + 6 cells of a hit row meet the disk test, which is
+    exact: a crossed cell centred in the disk holds beam points within
+    r + res / sqrt(2) of the return, and one axis's crossings lie at least
+    res apart along the beam, so at most ceil(r / res) + 1 of each follow it."""
     geo, radius = grid.geometry, sensor.error_radius
     origins, ends, hit = beam_arrays(beams)
     cells = trace_beam(geo, origins, ends)["cell"]
     ends, hit = ends[:len(cells)], hit[:len(cells)]
     grid.add_hits(error_region_cells(geo, ends[hit], radius))
     missed = cells >= 0
-    missed[hit] &= ~np.logical_or.accumulate(centre_in_disk(
-        geo, cells[hit], ends[hit, :1], ends[hit, 1:], radius), axis=1)
+    m, rows = cells.shape[1], np.flatnonzero(hit)[:, None]
+    window = min(2 * math.ceil(min(radius / geo.resolution, m)) + 6, m)
+    # a row shorter than the window also tests padding, which follows its cells
+    at = np.maximum(missed[hit].sum(1, keepdims=True) - window, 0) + np.arange(window)
+    missed[rows, at] &= ~np.logical_or.accumulate(centre_in_disk(
+        geo, cells[rows, at], ends[rows, 0], ends[rows, 1], radius), axis=1)
     grid.add_misses(cells[missed])
 
 
@@ -129,20 +140,20 @@ def simulate_scan(truth: GroundTruthMap, pose: tuple[float, float, float],
     traced = trace_beam(truth.geometry, (x, y), np.stack(
         [x + cos * sensor.max_range, y + sin * sensor.max_range], axis=1))
     n, m = traced.shape
-    cells, chords = traced["cell"].copy(), traced["chord"].copy()
-    real = np.flatnonzero(cells >= 0)
+    records = traced.reshape(-1)
+    real = np.flatnonzero(records["cell"] >= 0)
     draws = rng.random(len(real))
-    lam = truth.intensities[cells.ravel()[real]]
+    lam = truth.intensities[records["cell"][real]]
     # a draw is never below 0, so a cell with no matter never stops the beam
     matter = np.flatnonzero(lam > 0)
     at = real[matter]
     stops = np.zeros(n * m, bool)
     stops[at] = draws[matter] < -np.expm1(
-        -chords.ravel()[at] * truth.geometry.resolution * lam[matter])
+        -records["chord"][at] * truth.geometry.resolution * lam[matter])
     stops = stops.reshape(n, m)
     # the first stop's column, or m if none (the clipped ray's length, no chord)
     first = np.argmax(np.pad(stops, ((0, 0), (0, 1)), constant_values=True), axis=1)
-    padded = np.pad(chords, ((0, 0), (1, 1)))
+    padded = np.pad(traced["chord"], ((0, 0), (1, 1)))
     true_range = (np.cumsum(padded, axis=1)[np.arange(n), first]
                   + rng.random(n) * padded[np.arange(n), first + 1])
     # a spurious return (e.g. a raindrop) before any true obstacle

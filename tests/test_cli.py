@@ -373,6 +373,25 @@ class TestBadInputs:
                                                       SystemExit)
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        if code == 2:   # rejected before there was output to write
+            assert not Path("out").exists()
+
+
+@pytest.mark.parametrize("args", ["map s.yaml", "simulate-scans s.yaml",
+                                  "plan s.yaml p.csv"])
+def test_rejected_run_makes_no_output_dir(args, runner, tmp_path, monkeypatch):
+    """A scan pose off the grid exits 2 with one ``error:`` line, and the
+    ``-o`` directory, which the run never got to write to, does not exist."""
+    monkeypatch.chdir(tmp_path)
+    Path("s.yaml").write_text(scenario(
+        grid={"origin": [0.0, 0.0], "resolution": 0.1, "cols": 20, "rows": 20},
+        scan={"poses": [[50.0, 50.0, 0.0]]}))
+    Path("p.csv").write_text(path_text([0.5, 1.0], y=0.5))
+    result = runner.invoke(main, args.split() + ["-o", "out"])
+    assert result.exit_code == 2, result.output
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert not Path("out").exists()
 
 
 # (case, files, arguments) of inputs too large to allocate: each exits 2

@@ -208,3 +208,58 @@ class TestLambdaGrid:
         assert counts.sum() == 3 + 2 * COUNT_MAX
         getattr(grid, add)(np.array([], dtype=np.int64))
         assert counts.sum() == 3 + 2 * COUNT_MAX
+
+
+class SparseCounts:
+    """Counts of a grid of ``size`` cells held in a dict, so the count
+    kernel can run on a grid too large to allocate; reads and writes go
+    through the same fancy indexing as an array's."""
+
+    def __init__(self, size: int):
+        self.size, self.cells = size, {}
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, index):
+        return np.array([self.cells.get(int(i), 0) for i in index], np.int64)
+
+    def __setitem__(self, index, values):
+        for i, v in zip(np.asarray(index).tolist(), np.asarray(values).tolist()):
+            assert 0 <= i < self.size
+            self.cells[i] = v
+
+
+class TestAddCounts:
+    """``field._add_counts``: one count per occurrence, saturating."""
+
+    def test_unsorted_repeated_indices_equal_one_add_per_index(self, rng):
+        counts = rng.integers(0, 50, 300).astype(np.uint32)
+        expected = counts.astype(np.int64)
+        indices = rng.integers(0, 300, 2000)
+        np.add.at(expected, indices, 1)
+        field._add_counts(counts, indices)
+        assert counts.dtype == np.uint32
+        np.testing.assert_array_equal(counts, expected)
+
+    def test_repeats_at_count_max_minus_one_saturate(self):
+        counts = np.zeros(10, np.uint32)
+        counts[[2, 6]] = COUNT_MAX - 1
+        field._add_counts(counts, np.array([6, 2, 9, 2, 6, 2]))
+        assert counts.tolist() == [0, 0, COUNT_MAX, 0, 0, 0, COUNT_MAX, 0, 0, 1]
+
+    @pytest.mark.parametrize("indices", [[], np.array([], np.int64),
+                                         np.array([], np.int32)])
+    def test_empty_input_changes_nothing(self, indices):
+        counts = np.arange(5, dtype=np.uint32)
+        field._add_counts(counts, indices)
+        assert counts.tolist() == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("cells", [2**31 - 1, 2**31, 2**31 + 1, 2**40])
+    def test_keys_of_large_grids(self, cells):
+        """Each index is counted at its own cell: up to 2**31 cells the keys
+        are int32, past that int64, where an int32 key would wrap."""
+        counts = SparseCounts(cells)
+        field._add_counts(counts, np.array([cells - 1, 0, cells - 1, cells // 2,
+                                            cells - 1]))
+        assert counts.cells == {0: 1, cells // 2: 1, cells - 1: 3}

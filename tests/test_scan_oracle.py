@@ -209,6 +209,66 @@ def test_nan_hit_beam_raises_before_any_count(grid, sensor):
         assert grid.hits.sum() == 0 and grid.misses.sum() == 0
 
 
+def window_scan(geometry: GridGeometry, rng, radius: float,
+                n: int = 160) -> list[Beam]:
+    """Hit beams, with a few no-returns, that probe ``apply_scan``'s disk
+    window: diagonal and near-diagonal beams, whose first cell in the disk
+    lies farthest back from the return; returns on cell corners, on or off
+    the grid, and far off it (clipped rows); and returns within a few cells
+    of the origin (rows shorter than the window)."""
+    lo = np.array([geometry.origin_x, geometry.origin_y])
+    size = np.array([geometry.width, geometry.height])
+    res = geometry.resolution
+    corner = lo + rng.integers([geometry.n_cols, geometry.n_rows]) * res
+    origins = [lo + rng.random(2) * size for _ in range(3)]
+    origins += [corner, corner + 0.5 * res]
+    beams = []
+    for k in range(n):
+        origin = origins[k % len(origins)]
+        kind = k % 4
+        if kind == 0:    # diagonal, give or take a little
+            angle = (math.pi / 4 * rng.choice([1, 3, 5, 7])
+                     + rng.choice([0.0, 1e-9, -1e-3, 0.05]))
+            end = origin + rng.random() * 1.2 * size.max() * np.array(
+                [math.cos(angle), math.sin(angle)])
+        elif kind == 1:  # a cell corner, on or off the grid
+            end = lo + rng.integers(-3, [geometry.n_cols + 4,
+                                         geometry.n_rows + 4]) * res
+        elif kind == 2:  # far off the grid
+            end = lo + rng.uniform(-2.0, 3.0, 2) * size
+        else:            # within a few cells, or a radius, of the origin
+            angle = rng.random() * 2 * math.pi
+            reach = rng.uniform(0.0, 1.5) * rng.choice([res, radius])
+            end = origin + reach * np.array([math.cos(angle), math.sin(angle)])
+        beams.append(Beam(tuple(origin), tuple(end - origin), 1.0,
+                          bool(k % 11)))
+    return beams
+
+
+@pytest.mark.parametrize("radius_in_cells", [0.3, 1.0, 2.5, 5.0, 8.3])
+@pytest.mark.parametrize("geometry", GEOMETRIES, ids=IDS)
+def test_disk_window_equals_whole_row_rule(geometry, radius_in_cells, rng):
+    """``apply_scan`` tests the disk against the last cells of each hit row
+    only; its counts equal the per-beam rule, which tests the whole row."""
+    radius = radius_in_cells * geometry.resolution
+    sensor = SensorModel(error_area=math.pi * radius * radius)
+    grid, expected = LambdaGrid(geometry, sensor), LambdaGrid(geometry, sensor)
+    for _ in range(2):
+        beams = window_scan(geometry, rng, sensor.error_radius)
+        apply_scan(grid, beams, sensor)
+        for beam in beams:
+            oracle.apply_beam(expected, beam, sensor)
+    assert grid.hits.sum() > 0 and grid.misses.sum() > 0
+    assert np.array_equal(grid.hits, expected.hits)
+    assert np.array_equal(grid.misses, expected.misses)
+    # a NaN return among them raises before any count changes
+    hits, misses = grid.hits.copy(), grid.misses.copy()
+    beams.insert(5, Beam(beams[0].origin, (math.nan, 1.0), 1.0, True))
+    with pytest.raises(ValueError):
+        apply_scan(grid, beams, sensor)
+    assert np.array_equal(grid.hits, hits) and np.array_equal(grid.misses, misses)
+
+
 @pytest.mark.parametrize("geometry", GEOMETRIES, ids=IDS)
 @pytest.mark.parametrize("window_cells", [1 << 16, 200, 1])  # chunks of disks
 def test_error_disks_equal_per_centre_oracle(monkeypatch, geometry, rng, window_cells):
