@@ -58,7 +58,7 @@ def bayes_scan(grid: BayesGrid, beams: list[Beam], sensor: SensorModel) -> None:
     step of the longest run short of its clamp, not per beam or per cell."""
     geo = grid.geometry
     origins, ends, hit = beam_arrays(beams)
-    cells = np.ascontiguousarray(trace_beam(geo, origins, ends)["cell"])
+    cells = trace_beam(geo, origins, ends)["cell"]
     n = len(cells)
     ends, hit = ends[:n], hit[:n]
     occupied = np.where(hit, geo.flat_or_outside(ends[:, 0], ends[:, 1]), -1)

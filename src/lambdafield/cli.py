@@ -285,6 +285,8 @@ def cmd_eval_path(dump_file, path_file, engine, bound, width, mass, speed,
         cells, _ = sweep_footprint(grid.geometry, poses, shape.width)
         p_coll, risk = naive_path_probability(grid, cells), ""
     else:
+        if not (unit_risk or math.isfinite(mass * speed)):
+            raise ValueError(f"--mass {mass} times --speed {speed} is not finite")
         crossing = swept_cells(grid, poses, shape)
         p_coll = path_collision_probability(crossing, bound)
         risk_fn = ((lambda a: 1.0) if unit_risk

@@ -44,7 +44,8 @@ class PathCrossing:
     """Ordered cells a swept footprint traverses, with per-cell crossed areas.
 
     Carries a snapshot of the three intensity estimates so risk evaluation
-    never touches the live grid.
+    never touches the live grid. From ``swept_cells``, ``cells`` and
+    ``areas`` are the sweep's kept arrays, lent read-only.
     """
 
     cells: np.ndarray        # flat indices, traversal order
@@ -124,7 +125,7 @@ def sweep_footprints(geometry: GridGeometry,
     call's paths sweeps nothing; any other call sweeps its distinct paths
     and keeps only those. So the planner sweeps a cycle's arcs in one call
     and then reads each arc through ``swept_cells`` without sweeping it
-    again. Every result is a fresh array the caller may change.
+    again. Each result is the pair the module keeps, lent read-only.
     """
     global _last
     pts = [np.asarray(poses, dtype=np.float64)[..., :2].reshape(-1, 2)
@@ -135,9 +136,10 @@ def sweep_footprints(geometry: GridGeometry,
                  or not kept.keys() >= set(keys)):
         distinct = dict(zip(keys, pts))
         kept = dict(zip(distinct, _sweep(geometry, list(distinct.values()), width)))
+        for array in (array for sweep in kept.values() if sweep for array in sweep):
+            array.flags.writeable = False
         _last = (geometry, width, kept)
-    return [None if kept[key] is None else (kept[key][0].copy(), kept[key][1].copy())
-            for key in keys]
+    return [kept[key] for key in keys]
 
 
 def _sweep(geometry: GridGeometry, pts: list[np.ndarray],
@@ -271,8 +273,9 @@ def risk_terms(crossing: PathCrossing, use_bound: str = "mle"
     collision, and the chance 1 - exp(-a_i lam_i) of one inside cell i.
     """
     lam = crossing.lambdas(use_bound)
-    exponents = crossing.areas * lam
-    survive = np.exp(-np.concatenate(([0.0], np.cumsum(exponents)))[:-1])
+    with np.errstate(over="ignore"):  # an overflow to inf is a certain collision
+        exponents = crossing.areas * lam
+        survive = np.exp(-np.concatenate(([0.0], np.cumsum(exponents)))[:-1])
     return lam, crossing.cumulative_areas(), survive, -np.expm1(-exponents)
 
 
@@ -297,7 +300,8 @@ def path_collision_probability(crossing: PathCrossing,
                                use_bound: str = "mle") -> float:
     """1 - exp(-Lambda) with Lambda the area-weighted intensity sum."""
     lam = crossing.lambdas(use_bound)
-    return collision_probability(float(np.dot(crossing.areas, lam)))
+    with np.errstate(over="ignore"):  # an overflow to inf is a certain collision
+        return collision_probability(float(np.dot(crossing.areas, lam)))
 
 
 def partial_risks(crossing: PathCrossing, risk_fn: Callable,

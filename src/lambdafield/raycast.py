@@ -13,8 +13,8 @@ from .geometry import GridGeometry
 CELL_CHORD = np.dtype([("cell", np.int64), ("chord", np.float64)])
 DISK_WINDOW_CELLS = 1 << 16  # window cells tested at once, about 4 MB of temporaries
 WALK_CROSSINGS = 1 << 18     # padded crossings walked at once, about 20 MB of temporaries
-# trace_beam's last call: (geometry, (n, 4) segments, result as _stack's pairs)
-_last = (None, np.zeros((0, 4)), np.zeros((0, 0), np.int64))
+# trace_beam's last call: (geometry, (n, 4) segment bits, result as _stack's pairs)
+_last = (None, np.zeros((0, 4), np.uint64), np.zeros((0, 0), np.int64))
 
 
 def trace_beam(geometry: GridGeometry, origins, endpoints) -> np.ndarray:
@@ -30,36 +30,32 @@ def trace_beam(geometry: GridGeometry, origins, endpoints) -> np.ndarray:
     crossings are summed in the order of the incremental walk (Amanatides &
     Woo), so every row equals that walk's records bit for bit.
 
-    A row depends only on its own segment, so the rows of the previous call
-    are reused: row k is walked again only if the geometry or the bits of
-    segment k differ from that call's. A scan's no-return beams end where
-    the simulator traced them, and ``bayes_scan`` traces ``apply_scan``'s
-    segments, so each scan's segments are walked once. The result equals a
-    full walk byte for byte, and it is always a fresh array the caller may
-    change; the module keeps one copy of it until the next call. A call that
-    reuses every row of a same-length call, or none, copies that array
-    without restacking the rows.
+    A row depends only on its own segment, so a call on the previous call's
+    geometry with as many rows walks only the rows whose segment bits differ
+    (a scan's no-return beams end where the simulator traced them, and
+    ``bayes_scan`` traces ``apply_scan``'s segments). The result equals a
+    full walk byte for byte. It is the array the module keeps until the next
+    call, lent read-only; a call that reuses every row, or none, stacks none.
     """
     global _last
     o, e = np.broadcast_arrays(*(np.reshape(np.asarray(p, float), (-1, 2))
                                  for p in (origins, endpoints)))
-    segments = np.concatenate([o, e], axis=1)
+    segments = np.concatenate([o, e], axis=1).view(np.uint64)
     last_geometry, last_segments, last = _last
-    k = min(len(o), len(last)) if last_geometry == geometry else 0
-    same = np.zeros(len(o), bool)
-    same[:k] = (segments[:k].view(np.uint64)
-                == last_segments[:k].view(np.uint64)).all(axis=1)
-    if same.all() and len(o) == len(last):
+    reuse = last_geometry == geometry and len(o) == len(last)
+    same = (segments == last_segments).all(axis=1) if reuse else np.zeros(len(o), bool)
+    if reuse and same.all():
         pairs = last
     elif not same.any():
         pairs = _walk(geometry, o, e).view(np.int64)
     else:
         new = ~same
-        pairs = _stack(len(o), [(same, last[:k][same[:k]]),
+        pairs = _stack(len(o), [(same, last[same]),
                                 (new, _walk(geometry, o[new], e[new]).view(np.int64))]
                        ).view(np.int64)
+    pairs.flags.writeable = False
     _last = (geometry, segments, pairs)
-    return pairs.copy().view(CELL_CHORD)
+    return pairs.view(CELL_CHORD)
 
 
 def _stack(n: int, parts) -> np.ndarray:

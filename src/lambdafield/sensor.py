@@ -124,8 +124,7 @@ def simulate_scan(truth: GroundTruthMap, pose: tuple[float, float, float],
     beams' lengths); then one per beam for each of the place in the stop
     cell, the spurious-return test, the spurious range, the drop test and
     the jitter."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
+    rng = np.random.default_rng(rng)
     x, y, theta = pose
     if not np.isfinite(pose).all():
         raise ValueError(f"scan pose ({x}, {y}, {theta}) is not finite")
@@ -148,8 +147,9 @@ def simulate_scan(truth: GroundTruthMap, pose: tuple[float, float, float],
     matter = np.flatnonzero(lam > 0)
     at = real[matter]
     stops = np.zeros(n * m, bool)
-    stops[at] = draws[matter] < -np.expm1(
-        -records["chord"][at] * truth.geometry.resolution * lam[matter])
+    with np.errstate(over="ignore"):  # an overflow to inf is a certain stop
+        stops[at] = draws[matter] < -np.expm1(
+            -records["chord"][at] * truth.geometry.resolution * lam[matter])
     stops = stops.reshape(n, m)
     # the first stop's column, or m if none (the clipped ray's length, no chord)
     first = np.argmax(np.pad(stops, ((0, 0), (0, 1)), constant_values=True), axis=1)

@@ -305,6 +305,8 @@ BAD_INPUTS = [
      "eval-path {mapped}/lambda_grid.dump p.csv --speed nan", 2),
     ("eval-path: --speed inf", {"p.csv": PATH},
      "eval-path {mapped}/lambda_grid.dump p.csv --speed inf", 2),
+    ("eval-path: --mass times --speed overflows", {"p.csv": PATH},
+     "eval-path {mapped}/lambda_grid.dump p.csv --mass 1e10 --speed 1e300", 2),
     ("eval-path: NaN in the path", {"p.csv": path_text([1.0, float("nan")])},
      "eval-path {mapped}/lambda_grid.dump p.csv", 3),
     ("eval-path: empty path file", {"p.csv": ""},
@@ -375,6 +377,24 @@ class TestBadInputs:
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
         if code == 2:   # rejected before there was output to write
             assert not Path("out").exists()
+
+
+def test_overflowing_exposures_run_without_warning(runner, tmp_path, monkeypatch):
+    """An exposure that overflows to inf is a certain stop or collision: a
+    map of matter at 1e308 /m^2, and an upper-bound eval-path over a map
+    whose lambda_max is 1e308, each exit 0 and write nothing to stderr."""
+    monkeypatch.chdir(tmp_path)
+    Path("a.yaml").write_text(scenario(
+        grid={"origin": [0.0, 0.0], "resolution": 10.0, "cols": 10, "rows": 10},
+        sensor={"max_range": 50.0}, ground_truth={"uniform": 1e308},
+        scan={"poses": [[50.0, 50.0, 0.0]], "beams": 8}))
+    Path("b.yaml").write_text(scenario(lambda_max=1e308))
+    Path("p.csv").write_text(path_text(np.arange(1.0, 3.91, 0.05)))
+    for args in ("map a.yaml -o a", "map b.yaml -o b",
+                 "eval-path b/lambda_grid.dump p.csv --bound upper --width 3.0"
+                 " -o e"):
+        result = runner.invoke(main, args.split())
+        assert result.exit_code == 0 and result.stderr == "", (args, result.output)
 
 
 @pytest.mark.parametrize("args", ["map s.yaml", "simulate-scans s.yaml",

@@ -70,6 +70,8 @@ class TestSweptCells:
         crossing = swept_cells(observed_free_grid, poses, shape)
         assert cells.tolist() == crossing.cells.tolist()
         assert areas.tolist() == crossing.areas.tolist()
+        # the sweep's kept arrays, lent read-only
+        assert not (crossing.cells.flags.writeable or crossing.areas.flags.writeable)
 
     def test_cumulative_area_strictly_increasing(self, observed_free_grid):
         shape = RobotShape(0.3, 0.2, 20.0)
@@ -244,7 +246,8 @@ class TestSweepFootprint:
         same geometry and width, sweeps nothing; any other call sweeps its
         distinct paths, all of them, and keeps only those; an empty call
         sweeps nothing and keeps what was kept. Each result is the bytes of
-        the oracle, in fresh arrays."""
+        the oracle, lent read-only, so a write raises and the kept sweep
+        stays."""
         real, swept = path._sweep, []
 
         def counted(geometry, pts, width):
@@ -276,8 +279,9 @@ class TestSweepFootprint:
             assert ([_outcome(sweep) for sweep in got]
                     == [_sweep_outcome(oracle.sweep_footprint, geo, poses, width)
                         for poses in paths])
-            for sweep in filter(None, got):
-                sweep[0][:], sweep[1][:] = -1, 0.0  # the kept copy stays
+            for array in (array for sweep in got if sweep for array in sweep):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[:] = 0
 
     def test_swept_cells_reads_only_crossed_cells(self, monkeypatch):
         """On a 2000 x 2000 grid the estimators see the crossed cells alone,
