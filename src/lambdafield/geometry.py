@@ -8,6 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# the largest magnitude of a grid edge or a planner reference coordinate:
+# the square of a difference of two such coordinates stays finite
+COORD_MAX = 2.0 ** 500
+
 
 @dataclass(frozen=True)
 class GridGeometry:
@@ -37,13 +41,15 @@ class GridGeometry:
             raise ValueError("grid needs at least one cell per axis")
         if n_cells > np.iinfo(np.int64).max:
             raise ValueError(f"grid of {n_cells} cells is too large to index")
-        # far edges as Python floats: one that overflows is inf, with no warning
-        far = (float(self.origin_x) + float(self.width),
-               float(self.origin_y) + float(self.height))
-        if not (self.resolution > 0 and all(map(math.isfinite, far))):
-            raise ValueError(f"resolution must be > 0 and the grid's far edges "
-                             f"finite, got origin ({self.origin_x}, "
-                             f"{self.origin_y}), resolution {self.resolution}")
+        # edges as Python floats: a far edge that overflows is inf, with no warning
+        edges = (float(self.origin_x), float(self.origin_y),
+                 float(self.origin_x) + float(self.width),
+                 float(self.origin_y) + float(self.height))
+        if not (self.resolution > 0 and all(abs(v) <= COORD_MAX for v in edges)):
+            raise ValueError(f"resolution must be > 0 and the grid's origin and "
+                             f"far edges within +-2**500, got origin "
+                             f"({self.origin_x}, {self.origin_y}), resolution "
+                             f"{self.resolution}")
 
     @property
     def n_cells(self) -> int:

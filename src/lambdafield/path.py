@@ -160,7 +160,11 @@ def _sweep(geometry: GridGeometry, pts: list[np.ndarray],
     n_paths = len(pts)
     pose_path = np.repeat(np.arange(n_paths), [len(p) for p in pts])
     pts = np.concatenate(pts)
-    step_vec = np.diff(pts, axis=0)
+    # a step that overflows has an end beyond half the largest float, far
+    # off any grid (whose edges lie within +-COORD_MAX): the test of the
+    # step ends below rejects it
+    with np.errstate(over="ignore"):
+        step_vec = np.diff(pts, axis=0)
     ds = np.hypot(step_vec[:, 0], step_vec[:, 1])
     # a step joins two poses of one path, and moves
     moves = (ds != 0.0) & (pose_path[1:] == pose_path[:-1])

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import LambdaGrid
+from .geometry import COORD_MAX
 from .path import (RobotShape, constant_velocity, expected_risk, momentum_risk,
                    sweep_footprints, swept_cells)
 
@@ -172,12 +173,14 @@ def admissible_candidates(grid: LambdaGrid, pose: tuple[float, float, float],
 
 def _reference_xy(reference_path) -> np.ndarray:
     """The (N, 2) x/y of a reference path; raises ValueError unless it is a
-    non-empty (N, >= 2) array of finite numbers."""
+    non-empty (N, >= 2) array of finite numbers with x and y within
+    ``COORD_MAX``, so that the closeness squares stay finite."""
     reference = np.asarray(reference_path, dtype=np.float64)
     if (reference.ndim != 2 or len(reference) == 0 or reference.shape[1] < 2
-            or not np.isfinite(reference).all()):
+            or not np.isfinite(reference).all()
+            or not (np.abs(reference[:, :2]) <= COORD_MAX).all()):
         raise ValueError("reference path must be a non-empty (N, >= 2) array "
-                         "of finite numbers")
+                         "of finite numbers, x and y within +-2**500")
     return reference[:, :2]
 
 

@@ -1,4 +1,18 @@
-"""Beam integration into the intensity grid, plus a synthetic lidar simulator."""
+"""Beam integration into the intensity grid, plus a synthetic lidar simulator.
+
+No scan function walks, draws or counts beam by beam in Python. What does
+loop over the beams once each is building the ``Beam`` list that
+``simulate_scan`` returns, and reading a list back into arrays in one pass
+(``beam_arrays``, in ``apply_scan`` and ``bayes_scan``). Each scan function
+traces its beams in one ``trace_beam`` call; a scan's no-return beams end
+where the simulator traced them, and ``bayes_scan`` traces ``apply_scan``'s
+segments, so when the three run in that order, a scan's no-return beams are
+walked once and its returns twice. ``apply_scan`` rasterises all of its
+error disks in one ``error_region_cells`` call and adds its hits and misses
+each by one sort of the cell indices (``LambdaGrid.add_hits``, int32 keys
+when the grid has at most 2**31 cells), each run of equal indices adding its
+length, saturating at 2**32 - 1.
+"""
 
 from __future__ import annotations
 
@@ -99,8 +113,10 @@ def apply_scan(grid: LambdaGrid, beams: list[Beam], sensor: SensorModel) -> None
     window = min(2 * math.ceil(min(radius / geo.resolution, m)) + 6, m)
     # a row shorter than the window also tests padding, which follows its cells
     at = np.maximum(missed[hit].sum(1, keepdims=True) - window, 0) + np.arange(window)
+    near = cells[rows, at]
     missed[rows, at] &= ~np.logical_or.accumulate(centre_in_disk(
-        geo, cells[rows, at], ends[rows, 0], ends[rows, 1], radius), axis=1)
+        geo, near % geo.n_cols, near // geo.n_cols, ends[rows, 0], ends[rows, 1],
+        radius), axis=1)
     grid.add_misses(cells[missed])
 
 
@@ -151,11 +167,17 @@ def simulate_scan(truth: GroundTruthMap, pose: tuple[float, float, float],
         stops[at] = draws[matter] < -np.expm1(
             -records["chord"][at] * truth.geometry.resolution * lam[matter])
     stops = stops.reshape(n, m)
-    # the first stop's column, or m if none (the clipped ray's length, no chord)
-    first = np.argmax(np.pad(stops, ((0, 0), (0, 1)), constant_values=True), axis=1)
-    padded = np.pad(traced["chord"], ((0, 0), (1, 1)))
-    true_range = (np.cumsum(padded, axis=1)[np.arange(n), first]
-                  + rng.random(n) * padded[np.arange(n), first + 1])
+    # the first stop's column, or m if none (the clipped ray's length, no
+    # chord); argmax has no column to return in a trace of width 0
+    first = (np.where(stops.any(axis=1), stops.argmax(axis=1), m) if m
+             else np.zeros(n, np.intp))
+    # the chords between two zero columns, summed in order by cumsum
+    padded = np.zeros((n, m + 2))
+    padded[:, 1:-1] = traced["chord"]
+    rows = np.arange(n)
+    stop_chord = padded[rows, first + 1]
+    np.cumsum(padded, axis=1, out=padded)
+    true_range = padded[rows, first] + rng.random(n) * stop_chord
     # a spurious return (e.g. a raindrop) before any true obstacle
     spurious = rng.random(n) > sensor.p_hit
     spurious_range = np.maximum(rng.random(n) * true_range, 1e-9)

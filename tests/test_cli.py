@@ -182,6 +182,16 @@ OFF_GRID_PATH = path_text(np.arange(3.0, 4.51, 0.05))
 WITH_TRUTH_CSV = scenario(ground_truth={"file": "truth.csv"})
 OFF_GRID_SCAN = scenario(scan={"poses": [[1.0, 2.0, 0.0], [5.0, 2.0, 0.0]]})
 
+# a grid whose coordinates lie beyond +-2**500, where squared distances
+# overflow, and a reference along it
+FAR_GRID = scenario(grid={"origin": [1e200, 0.0], "resolution": 1e190,
+                          "cols": 40, "rows": 40},
+                    sensor={"max_range": 1e191}, ground_truth={"uniform": 1.0},
+                    scan={"poses": [[1.0000000000000002e200, 2e191, 0.3]],
+                          "beams": 8})
+FAR_REF = "x,y,theta\n" + "".join(f"{1e200 + k * 1e191!r},2e191,0\n"
+                                   for k in (0.2, 0.5, 0.8))
+
 # (case, files written to the working directory as {name: text, or a
 # function of the mapped output directory}, arguments, exit code)
 BAD_INPUTS = [
@@ -225,6 +235,19 @@ BAD_INPUTS = [
                          sensor={"max_range": 1.5e308},
                          scan={"poses": [[5e307, 5e307, 0.0]], "beams": 8})},
      "map s.yaml", 2),
+    *((f"{command}: grid far from the origin", {"s.yaml": FAR_GRID, "ref.csv": FAR_REF},
+       f"{command} s.yaml{' ref.csv' if command == 'plan' else ''}", 2)
+      for command in ("map", "plan")),
+    ("eval-path: dump of a grid far from the origin",
+     {"d": dump("lambda_grid.dump", lambda t: t.replace(
+         "origin 0.0 0.0\nresolution 0.1", "origin 1e+200 0.0\nresolution 1e+190")),
+      "p.csv": FAR_REF}, "eval-path d p.csv --width 1e189", 3),
+    ("plan: reference point at 1e200",
+     {"s.yaml": scenario(), "ref.csv": "x,y,theta\n1,1,0\n1,1e200,0\n2,2,0\n"},
+     "plan s.yaml ref.csv", 2),
+    ("eval-path: path poses farther apart than the largest float",
+     {"p.csv": "x,y,theta\n1.7e308,1.0,0\n-1.7e308,1.0,0\n"},
+     "eval-path {mapped}/lambda_grid.dump p.csv", 2),
     ("map: scenario is not YAML", {"s.yaml": "grid: [cols: 4\n"},
      "map s.yaml", 2),
     ("map: missing scenario file", {}, "map s.yaml", 3),

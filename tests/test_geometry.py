@@ -5,6 +5,7 @@ import pytest
 
 from conftest import flat
 from lambdafield import GridGeometry
+from lambdafield.geometry import COORD_MAX
 
 
 def test_invalid_parameters_rejected():
@@ -37,10 +38,24 @@ def test_non_finite_resolution_or_extent_rejected(resolution, cols, rows):
                                  (0.0, math.inf), (-math.inf, 0.0)])
 def test_far_edge_must_be_finite(x, y):
     """An origin that is not finite, or a finite origin whose far edge
-    overflows, raises ValueError and no warning."""
+    overflows, raises ValueError and no warning; a box with its edges at
+    +-COORD_MAX is accepted."""
     with pytest.raises(ValueError, match="far edges"):
         GridGeometry(x, y, 1e306, 20, 20)
-    assert GridGeometry(-1.7e308, 1.5e308, 1e306, 20, 20).contains(-1.7e308, 1.5e308)
+    assert GridGeometry(-COORD_MAX, COORD_MAX - 2 ** 480, 2 ** 475, 32, 32).contains(
+        -COORD_MAX, COORD_MAX - 2 ** 480)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x,y,resolution", [
+    (1e200, 0.0, 1e190), (0.0, -1e200, 1e190), (COORD_MAX, 0.0, 2 ** 450),
+    (-COORD_MAX * (1 + 2 ** -52), 0.0, 1.0), (0.0, COORD_MAX - 2 ** 480, 2 ** 476)])
+def test_edges_beyond_coord_max_rejected(x, y, resolution):
+    """A box with its origin or a far edge beyond +-COORD_MAX, where the
+    square of a difference of coordinates may overflow, raises ValueError
+    and no warning."""
+    with pytest.raises(ValueError, match="far edges within"):
+        GridGeometry(x, y, resolution, 40, 40)
 
 
 def test_numpy_and_largest_sizes_accepted():
@@ -53,7 +68,7 @@ def test_numpy_and_largest_sizes_accepted():
 def test_cell_center_on_arrays_equals_scalar_calls():
     """``cell_center`` of arrays, with broadcasting, equals its calls on
     each (col, row) bit for bit, also for the -1 padding cell that
-    ``apply_scan`` passes through ``raycast.centre_in_disk``."""
+    ``apply_scan`` passes to ``raycast.centre_in_disk``."""
     geo = GridGeometry(-1.3, 0.7, 0.37, 13, 29)
     cells = np.array([-1, 0, 1, 12, 13, 200, geo.n_cells - 1])
     got = geo.cell_center(cells % geo.n_cols, cells // geo.n_cols)

@@ -186,8 +186,8 @@ class TestPlanStep:
         np.zeros((0, 3)), np.zeros(3), np.zeros((4, 1)),
         [[1.0, 2.0, 0.0], [math.nan, 2.0, 0.0]],
         [[1.0, 2.0, 0.0], [1.1, math.inf, 0.0]],
-        [[1.0, 2.0, -math.inf]]],
-        ids=["empty", "1-D", "one-column", "nan", "inf", "inf-heading"])
+        [[1.0, 2.0, -math.inf]], [[1.0, 1.0, 0.0], [1.0, 1e200, 0.0]]],
+        ids=["empty", "1-D", "one-column", "nan", "inf", "inf-heading", "far"])
     def test_bad_reference_rejected_before_any_sweep(self, corridor_grid,
                                                      shape, reference,
                                                      monkeypatch):

@@ -122,6 +122,109 @@ def segment_arrays(beams) -> tuple[np.ndarray, np.ndarray]:
             np.array([e for _, e in beams], np.float64))
 
 
+def assert_rows_equal_walk(geometry, o, e, rows):
+    """Each row of a trace holds ``incremental_walk``'s records bit for bit,
+    then padding, and the trace is as wide as its longest row."""
+    assert rows.shape[0] == len(o)
+    widths = []
+    for origin, end, row in zip(o.tolist(), e.tolist(), rows):
+        walk = incremental_walk(geometry, origin, end)
+        assert row[:len(walk)].tolist() == walk, (origin, end)
+        assert (row[len(walk):]["cell"] == -1).all()
+        assert (row[len(walk):]["chord"] == 0).all()
+        widths.append(len(walk))
+    assert rows.shape[1] == max(widths, default=0)
+
+
+def diagonal_segments(geometry, rng, n: int = 120):
+    """Segments at multiples of 45 degrees from cell corners and cell
+    centres of a grid of binary-exact coordinates: each crosses cell corners
+    exactly, where its x and y crossings tie and a zero chord lies between
+    two kept cells."""
+    res = geometry.resolution
+    o, e = [], []
+    for k in range(n):
+        cell = rng.integers([geometry.n_cols, geometry.n_rows])
+        corner = np.array([geometry.origin_x, geometry.origin_y]) + cell * res
+        origin = corner + (0.5 * res if k % 2 else 0.0)
+        direction = np.array([[1, 0], [1, 1], [0, 1], [-1, 1], [-1, 0],
+                              [-1, -1], [0, -1], [1, -1]][k % 8])
+        o.append(origin)
+        e.append(origin + direction * res * rng.integers(1, 2 * geometry.n_cols))
+    return np.array(o), np.array(e)
+
+
+BINARY = GridGeometry(-2.0, 1.0, 0.125, 40, 24)
+FAR = GridGeometry(1e5 + 0.3, -7e4, 0.037, 50, 60)  # crossings round off
+
+
+@pytest.mark.parametrize("rows", ["diagonal", "diagonal among others"])
+def test_corner_ties_equal_incremental_walk(rows, rng):
+    """Segments through exact cell corners have zero chords between kept
+    cells, which the walk drops and closes up (a row's kept cells are then
+    no prefix of its crossings); beside them, rows whose kept cells are a
+    prefix. Both equal the incremental walk, one row or many at a call."""
+    o, e = diagonal_segments(BINARY, rng)
+    if rows != "diagonal":
+        lo = np.array([BINARY.origin_x, BINARY.origin_y])
+        size = np.array([BINARY.width, BINARY.height])
+        o = np.concatenate([o, lo + rng.random((60, 2)) * size])
+        e = np.concatenate([e, lo + rng.uniform(-0.5, 1.5, (60, 2)) * size])
+    # a cell dropped between two kept cells: they are diagonal neighbours
+    cells = [np.array([c for c, _ in incremental_walk(BINARY, a, b)])
+             for a, b in zip(o.tolist(), e.tolist())]
+    gaps = [np.any((np.abs(np.diff(c % BINARY.n_cols)) == 1)
+                   & (np.abs(np.diff(c // BINARY.n_cols)) == 1)) for c in cells]
+    assert sum(gaps) > 40
+    assert_rows_equal_walk(BINARY, o, e, raycast._walk(BINARY, o, e)[0])
+    for k in range(0, len(o), 17):
+        assert_rows_equal_walk(BINARY, o[k:k + 1], e[k:k + 1],
+                               raycast._walk(BINARY, o[k:k + 1], e[k:k + 1])[0])
+
+
+def test_crossings_past_the_grid_edge_equal_incremental_walk(rng):
+    """On a grid far from the origin with a resolution that is not binary,
+    a segment's crossing of the grid edge often rounds to before t_end: its
+    cells past that crossing lie off the grid and are dropped, as the
+    incremental walk drops them."""
+    lo = np.array([FAR.origin_x, FAR.origin_y])
+    size = np.array([FAR.width, FAR.height])
+    o = lo + rng.random((400, 2)) * size
+    e = lo + rng.uniform(-0.5, 1.5, (400, 2)) * size
+    e[::2] = np.where(rng.random((200, 1)) < 0.5, lo, lo + size)  # to a corner
+    rows, per_row = raycast._walk(FAR, o, e)
+    assert_rows_equal_walk(FAR, o, e, rows)
+    assert per_row.tolist() == (rows["cell"] >= 0).sum(axis=1).tolist()
+
+
+def test_flat_indices_beyond_int32(rng):
+    """On a grid of more than 2**31 cells the walk's indices are int64; on
+    one of fewer they fit int32. Both equal the incremental walk."""
+    for geometry in (GridGeometry(0.0, 0.0, 1.0, 70000, 40000),
+                     GridGeometry(0.0, 0.0, 1.0, 46000, 46000)):
+        top = np.array([geometry.width, geometry.height]) - 3.5
+        o = top + rng.random((20, 2))
+        e = o + rng.uniform(-40.0, 40.0, (20, 2))
+        assert geometry.n_cells > np.iinfo(np.int32).max // 2
+        assert_rows_equal_walk(geometry, o, e, raycast._walk(geometry, o, e)[0])
+
+
+def test_rows_that_cross_no_cell(geometry):
+    """Zero-length and non-finite segments give empty rows: a call of only
+    such rows gives a trace of width 0, one row or several."""
+    centre = geometry.cell_center(3, 4)
+    ends = [centre, (math.nan, 1.0), (math.inf, math.inf), (1.0, -math.inf),
+            (math.nan, math.nan)]
+    for k in (1, len(ends)):
+        rows, per_row = raycast._walk(geometry, np.array([centre] * k),
+                                      np.array(ends[:k]))
+        assert rows.shape == (k, 0) and per_row.tolist() == [0] * k
+    got = trace_beam(geometry, centre, ends + [(2.0, 2.0)])
+    assert got.shape[1] > 0 and (got["cell"][:-1] == -1).all()
+    assert_rows_equal_walk(geometry, np.array([centre] * 6),
+                           np.array(ends + [(2.0, 2.0)]), got)
+
+
 def test_trace_beam_reuses_rows_byte_for_byte(monkeypatch, geometry, rng):
     """Under full, partial and no reuse, a changed geometry and a changed row
     count, with NaN and infinite rows among them, ``trace_beam`` returns the
@@ -136,9 +239,9 @@ def test_trace_beam_reuses_rows_byte_for_byte(monkeypatch, geometry, rng):
         walked.append(len(o))
         return real(geo, o, e)
 
-    def counted_stack(n, parts):
-        stacked.append(n)
-        return real_stack(n, parts)
+    def counted_stack(per_row, parts):
+        stacked.append(len(per_row))
+        return real_stack(per_row, parts)
 
     monkeypatch.setattr(raycast, "_walk", counted)
     monkeypatch.setattr(raycast, "_stack", counted_stack)
@@ -170,8 +273,32 @@ def test_trace_beam_reuses_rows_byte_for_byte(monkeypatch, geometry, rng):
         # a restack walks its new rows, even none; a fast path walks all or none
         assert walked == ([rows_walked] if restacked or rows_walked else [])
         assert stacked == ([len(origins)] if restacked else [])
-        want = real(geo, origins, ends)
+        want, _ = real(geo, origins, ends)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_partial_reuse_restacks_wider_and_narrower_rows(monkeypatch, rng):
+    """A partial reuse whose walked rows are wider than the kept rows, then
+    one whose walked rows are narrower (the kept rows set the width), then
+    one whose rows all shrink: each equals the incremental walk."""
+    monkeypatch.setattr(raycast, "_last", (None,) + raycast._last[1:])
+    geometry = GEOMETRIES[1]
+    lo = np.array([geometry.origin_x, geometry.origin_y])
+    o = lo + rng.random((90, 2)) * [geometry.width, geometry.height]
+    angle = rng.random(90) * 2 * math.pi
+    ray = np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    short, far = o + 0.2 * ray, o + 6.0 * ray
+    calls = [short,                                     # a fresh walk
+             np.where(np.arange(90)[:, None] % 3 == 0, far, short),  # wider
+             np.where(np.arange(90)[:, None] % 3 == 1, short, far),  # mixed
+             np.where(np.arange(90)[:, None] % 3 == 2, short, far),  # narrower
+             np.where(np.arange(90)[:, None] == 5, far, short)]      # shrinks
+    widths = []
+    for e in calls:
+        rows = trace_beam(geometry, o, e)
+        assert_rows_equal_walk(geometry, o, e, rows)
+        widths.append(rows.shape[1])
+    assert widths[0] < widths[1] and widths[4] < widths[3]
 
 
 def test_trace_beam_lends_its_kept_rows_read_only(monkeypatch, geometry, rng):
@@ -186,7 +313,7 @@ def test_trace_beam_lends_its_kept_rows_read_only(monkeypatch, geometry, rng):
             first[name] = value
     again = trace_beam(geometry, o, e)
     assert not again.flags.writeable
-    assert again.tobytes() == raycast._walk(geometry, o, e).tobytes()
+    assert again.tobytes() == raycast._walk(geometry, o, e)[0].tobytes()
     geo = GridGeometry(0.0, 0.0, 0.05, 400, 400)
     angles = 2 * math.pi * np.arange(360) / 360
     ends = np.stack([10 + 8 * np.cos(angles), 10 + 8 * np.sin(angles)], axis=1)
@@ -204,10 +331,12 @@ def test_trace_beam_lends_its_kept_rows_read_only(monkeypatch, geometry, rng):
 @pytest.mark.parametrize("crossings", [1000, 1])  # down to one row per chunk
 def test_chunked_walk_equals_unchunked(monkeypatch, geometry, rng, crossings):
     o, e = segment_arrays(oracle_beams(geometry, rng))
-    whole = raycast._walk(geometry, o, e)
+    whole, per_row = raycast._walk(geometry, o, e)
     monkeypatch.setattr(raycast, "WALK_CROSSINGS", crossings)
-    chunked = raycast._walk(geometry, o, e)
+    chunked, chunked_rows = raycast._walk(geometry, o, e)
     assert chunked.shape == whole.shape and chunked.tobytes() == whole.tobytes()
+    assert per_row.tolist() == (whole["cell"] >= 0).sum(axis=1).tolist()
+    assert chunked_rows.tolist() == per_row.tolist()
 
 
 def test_trace_memory_is_bounded(monkeypatch):

@@ -313,6 +313,24 @@ def test_simulated_beams_equal_per_beam_oracle(geometry):
             assert any(b.hit for b in got) and not all(b.hit for b in got)
 
 
+def test_simulated_beams_of_a_trace_of_width_0():
+    """A beam from the grid's lower-left corner that points out of the grid
+    crosses no cell: a scan of that beam alone has a trace of width 0, and
+    one of four beams has empty rows among others. Both equal the per-beam
+    oracle."""
+    geometry = GEOMETRIES[2]
+    truth = GroundTruthMap.uniform(geometry, 5.0)
+    sensor = SensorModel(p_hit=0.9, p_miss=0.8, max_range=2.5)
+    pose = (geometry.origin_x, geometry.origin_y, math.pi)
+    end = (pose[0] - sensor.max_range, pose[1] + 0.0)
+    assert lambdafield.trace_beam(geometry, pose[:2], end).shape == (1, 0)
+    for beam_count in (1, 4):
+        for seed in range(3):
+            got = simulate_scan(truth, pose, sensor, beam_count, seed)
+            want = oracle.simulate_scan(truth, pose, sensor, beam_count, seed)
+            assert len(got) == beam_count and repr(got) == repr(want)
+
+
 def test_each_scan_function_traces_once(monkeypatch, geometry, sensor, rng):
     """One trace per scan function, and each scan's segments are walked
     once: the simulator walks every beam, ``apply_scan`` only the beams
