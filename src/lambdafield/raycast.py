@@ -83,8 +83,11 @@ def trace_beam(geometry: GridGeometry, origins, endpoints) -> np.ndarray:
         walked, walked_rows = _walk(geometry, o[new], e[new])
         per_row = last_rows.copy()
         per_row[new] = walked_rows
-        pairs = _stack(per_row, [(same, last), (new, walked.view(np.int64))]
-                       ).view(np.int64)
+        pairs = _stack(per_row, [(new, walked.view(np.int64))]).view(np.int64)
+        # the kept rows, copied once from the last result where they lie
+        m = min(pairs.shape[1], last.shape[1])
+        np.copyto(pairs[:, :m], last[:, :m], where=same[:, None])
+        pairs.view(CELL_CHORD)[same, m // 2:] = (-1, 0.0)
     pairs.flags.writeable = False
     _last = (geometry, segments, pairs, per_row)
     return pairs.view(CELL_CHORD)
@@ -93,18 +96,14 @@ def trace_beam(geometry: GridGeometry, origins, endpoints) -> np.ndarray:
 def _stack(per_row: np.ndarray, parts) -> np.ndarray:
     """The (n, m) ``CELL_CHORD`` array of rows of ``per_row`` cells, m the
     most. Each part (at, rows) fills the rows at ``at`` (a slice or a mask)
-    from ``CELL_CHORD`` rows viewed as int64 pairs (cell, chord bits, ...),
-    which numpy moves far faster than records: either exactly the rows at
-    ``at``, or all n rows, of which only those at ``at`` are copied. Each
-    row is copied once, and only the columns past its part's width padded."""
+    from exactly those rows, ``CELL_CHORD`` rows viewed as int64 pairs (cell,
+    chord bits, ...), which numpy moves far faster than records; only the
+    columns past a part's width are padded. Rows at no part are left unset."""
     out = np.empty((len(per_row), int(per_row.max(initial=0))), CELL_CHORD)
     pairs = out.view(np.int64)
     for at, rows in parts:
         m = min(pairs.shape[1], rows.shape[1])
-        if len(rows) == len(pairs):
-            np.copyto(pairs[:, :m], rows[:, :m], where=at[:, None])
-        else:
-            pairs[at, :m] = rows[:, :m]
+        pairs[at, :m] = rows[:, :m]
         out[at, m // 2:] = (-1, 0.0)
     return out
 
@@ -226,14 +225,14 @@ def error_region_cells(geometry: GridGeometry, centers, radius: float) -> np.nda
                                for k in range(0, len(c), step)])
     lo = np.clip(np.floor((c - radius - origin) / res), 0, size - width).astype(int)
     cols, rows = (lo[:, k:k + 1] + np.arange(width[k]) for k in (0, 1))
-    cols, rows = cols[:, None, :], rows[:, :, None]
-    inside = centre_in_disk(geometry, cols, rows, *c.T[:, :, None, None], radius)
-    return (rows * geometry.n_cols + cols)[inside]
+    cells = rows[:, :, None] * geometry.n_cols + cols[:, None, :]
+    return cells[centre_in_disk(geometry, cells, *c.T[:, :, None, None], radius)]
 
 
-def centre_in_disk(geometry: GridGeometry, col, row, cx, cy,
+def centre_in_disk(geometry: GridGeometry, cells: np.ndarray, cx, cy,
                    radius: float) -> np.ndarray:
-    """True where the centre of cell (col, row) lies within ``radius`` of
+    """True where the centre of the flat cell lies within ``radius`` of
     (cx, cy); elementwise, with broadcasting."""
-    centers_x, centers_y = geometry.cell_center(col, row)
+    centers_x, centers_y = geometry.cell_center(cells % geometry.n_cols,
+                                                cells // geometry.n_cols)
     return (centers_x - cx) ** 2 + (centers_y - cy) ** 2 <= radius * radius

@@ -113,10 +113,8 @@ def apply_scan(grid: LambdaGrid, beams: list[Beam], sensor: SensorModel) -> None
     window = min(2 * math.ceil(min(radius / geo.resolution, m)) + 6, m)
     # a row shorter than the window also tests padding, which follows its cells
     at = np.maximum(missed[hit].sum(1, keepdims=True) - window, 0) + np.arange(window)
-    near = cells[rows, at]
     missed[rows, at] &= ~np.logical_or.accumulate(centre_in_disk(
-        geo, near % geo.n_cols, near // geo.n_cols, ends[rows, 0], ends[rows, 1],
-        radius), axis=1)
+        geo, cells[rows, at], ends[rows, 0], ends[rows, 1], radius), axis=1)
     grid.add_misses(cells[missed])
 
 
