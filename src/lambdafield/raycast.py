@@ -35,7 +35,7 @@ from .geometry import GridGeometry
 
 CELL_CHORD = np.dtype([("cell", np.int64), ("chord", np.float64)])
 DISK_WINDOW_CELLS = 1 << 16  # window cells tested at once, about 4 MB of temporaries
-WALK_CROSSINGS = 1 << 18     # padded crossings walked at once, about 8 MB of temporaries
+WALK_CROSSINGS = 1 << 18     # padded crossings walked at once, about 2 MB of temporaries
 # trace_beam's last call: (geometry, (n, 4) segment bits, result as int64
 # pairs, each row's cell count)
 _last = (None, np.zeros((0, 4), np.uint64), np.zeros((0, 0), np.int64),
